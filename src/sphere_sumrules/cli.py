@@ -10,9 +10,9 @@ Subcommands map onto the library's main entry points:
   green     kernel values over the polar angle
   validate  cross-module invariant suite
 
-Everything is deterministic: sweeps run on a small thread pool but rows
-are emitted in sweep order, and floats are printed with 17 significant
-digits so output files round-trip exactly.
+Everything is deterministic: sweeps run serially, rows are emitted in
+sweep order, and floats are printed with 17 significant digits so output
+files round-trip exactly.
 """
 
 import argparse
@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -96,13 +95,6 @@ def load_density(d, path):
     return DensitySpec.from_coeffs(d, entries)
 
 
-def _sweep(func, items):
-    if len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        return list(pool.map(func, items))
-
-
 def _fmt(value):
     if value is None:
         return ""
@@ -158,7 +150,7 @@ def cmd_exact(args):
                 "difference": difference, "trunc_error": res.trunc_error,
                 "provenance": res.provenance, "ell_cut": res.ell_cut}
 
-    rows = _sweep(one, kappas)
+    rows = [one(kappa) for kappa in kappas]
     columns = ["kappa", "value", "reference", "difference", "trunc_error",
                "provenance", "ell_cut"]
     parameters = {"d": args.d, "p": args.p,
@@ -179,7 +171,7 @@ def cmd_hybrid(args):
                 "trunc_error": res.trunc_error,
                 "provenance": res.provenance, "ell_max": args.lmax}
 
-    rows = _sweep(one, kappas)
+    rows = [one(kappa) for kappa in kappas]
     columns = ["kappa", "hybrid", "exact", "difference", "trunc_error",
                "provenance", "ell_max"]
     parameters = {"d": args.d, "p": args.p, "ell_max": args.lmax,
@@ -189,7 +181,7 @@ def cmd_hybrid(args):
 
 def cmd_delta(args):
     lmaxes = parse_range(args.lmax, integer=True)
-    samples = _sweep(lambda l: weyl.delta(args.d, l, args.s), lmaxes)
+    samples = [weyl.delta(args.d, l, args.s) for l in lmaxes]
     fit = None
     if args.fit:
         fit = weyl.fit_delta(samples)
@@ -243,7 +235,7 @@ def cmd_green(args):
                 "tail_bound": res["tail_bound"], "method": method,
                 "ell_cut": args.ell_cut}
 
-    rows = _sweep(one, thetas)
+    rows = [one(theta) for theta in thetas]
     columns = ["theta", "value", "tail_bound", "method", "ell_cut"]
     parameters = {"d": args.d, "q": args.p, "gamma": args.gamma,
                   "ell_cut": args.ell_cut}

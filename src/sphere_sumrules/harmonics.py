@@ -12,37 +12,38 @@ level), and the triple-product coupling coefficients
 
     W(i1, i2, i3) = int Y*_{i1} Y_{i2} Y_{i3} dOmega,
 
-which generalize the Wigner 3j symbols.  The coupling integral factorizes
-angle by angle, so each level is one exact Gauss-Jacobi quadrature of a
-product of three Gegenbauer polynomials.
+which generalize the Wigner 3j symbols.  The generic coupling integral
+factorizes angle by angle, so each level is one exact Gauss-Jacobi
+quadrature of a product of three Gegenbauer polynomials.
 
 For densities that depend only on the polar angle the couplings collapse to
 a reduced form w_L(l, l', m2) that depends on the shared m-vector only
-through its leading entry; that reduction, and the fully m-summed pair
-strength S_L(l, l') (a Gegenbauer product-linearization identity, smooth in
-continuous l), are what make the infinite degree sums in the sum-rule
-engine tractable.
+through its leading entry.  These zonal couplings need no quadrature: in
+the orthonormal Gegenbauer basis of order m2 + (d-1)/2 they are the entries
+of C_L^((d-1)/2)(J) for the tridiagonal Jacobi matrix J, built band by band
+for a whole grid of m2 at once (`zonal_band_diagonals`).  That reduction,
+and the fully m-summed pair strength S_L(l, l') (a Gegenbauer
+product-linearization identity, smooth in continuous l), are what make the
+infinite degree sums in the sum-rule engine tractable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 import math
 
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import QuadratureRule, quadrature, total_weight
+from .quadrature import QuadratureRule, quadrature
 
 __all__ = [
-    "HarmonicIndex", "CouplingTable", "QuadratureRule", "quadrature",
-    "basis_constants", "degeneracy", "eigenvalue", "sphere_volume",
+    "HarmonicIndex", "QuadratureRule", "quadrature",
+    "degeneracy", "eigenvalue", "sphere_volume",
     "gegenbauer", "gegenbauer_all", "gegenbauer_at_one", "log_gegenbauer_at_one",
-    "eval_harmonic", "coupling_W", "zonal_coupling_w", "zonal_coupling_table",
-    "addition_eval", "pair_strength", "log_degeneracy", "enumerate_m",
+    "eval_harmonic", "coupling_W", "zonal_coupling_w", "zonal_band_diagonals",
+    "zonal_band_matrix", "addition_eval", "pair_strength", "log_degeneracy",
+    "enumerate_m",
 ]
-
-TABLE_FORMAT_VERSION = 1
-
 
 # ----------------------------------------------------------------------
 # scalar basis data
@@ -74,16 +75,6 @@ def log_degeneracy(d, ell):
     ell = np.asarray(ell, dtype=float)
     return (np.log(2 * ell + d - 1)
             + _lgamma(ell + d - 1) - _lgamma(ell + 1) - math.lgamma(d))
-
-
-def basis_constants(d, ell):
-    """Degeneracy, eigenvalue and sphere volume for one degree."""
-    if d < 2:
-        raise ValidationError("need sphere dimension d >= 2, got %r" % (d,))
-    if ell < 0:
-        raise ValidationError("degree must be non-negative, got %r" % (ell,))
-    return {"g": degeneracy(d, ell), "lambda": eigenvalue(d, ell),
-            "vol": sphere_volume(d)}
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
@@ -315,6 +306,54 @@ def _log_zonal_norm(d, L):
     return -0.5 * (math.log(vol_sub) + _log_h(L, (d - 1) / 2.0))
 
 
+def _times_jacobi(c, b):
+    """Upper diagonals of J c for a symmetric banded c that commutes with J.
+
+    c[o, :, n] holds entry (n, n+o); b[:, n] = J[n-1, n], with zero first
+    and last columns (the truncation edges).
+    """
+    out = np.zeros_like(c)
+    out[:-1, :, 1:] += b[:, 1:-1] * c[1:, :, :-1]      # J[n, n-1] c[n-1, n+o]
+    out[1:, :, :-1] += b[:, 1:-1] * c[:-1, :, 1:]      # J[n, n+1] c[n+1, n+o]
+    out[0] += b[:, 1:] * c[1]                         # c[n+1, n] = c[n, n+1]
+    return out
+
+
+def zonal_band_diagonals(d, L, m2, size):
+    """Upper diagonals of the reduced couplings w_L on an (m2, n) grid.
+
+    In the orthonormal basis C_n^lam / sqrt(h(n, lam)) of the weight
+    (1-x^2)^(lam-1/2), lam = m2 + (d-1)/2, multiplication by x is the
+    tridiagonal Jacobi matrix J_lam with zero diagonal and off-diagonals
+
+        b_n = sqrt(n (n + 2 lam - 1) / (4 (n + lam) (n + lam - 1))),
+
+    so the polar integral behind w_L is an entry of C_L^alpha(J_lam),
+    alpha = (d-1)/2 (Golub & Welsch 1969).  The Gegenbauer three-term
+    recurrence runs on the diagonals of J_lam truncated to size + L rows;
+    a path of L steps between rows below `size` never reaches the cut, so
+    every returned entry is exact and no quadrature is involved.
+
+    m2 is a sequence of leading entries.  Returns D of shape
+    (L + 1, len(m2), size) with D[o, r, n] = w_L(l, l + o, m2[r]) at
+    l = m2[r] + n; offsets o of the wrong parity hold zeros.
+    """
+    lam = np.asarray(m2, dtype=float).reshape(-1, 1) + (d - 1) / 2.0
+    alpha = (d - 1) / 2.0
+    rows = size + L
+    n = np.arange(1, rows, dtype=float)
+    b = np.zeros((lam.shape[0], rows + 1))
+    b[:, 1:rows] = np.sqrt(n * (n + 2.0 * lam - 1.0)
+                           / (4.0 * (n + lam) * (n + lam - 1.0)))
+    c_prev = np.zeros((L + 1, lam.shape[0], rows))
+    c = np.zeros_like(c_prev)
+    c[0] = 1.0
+    for k in range(1, L + 1):
+        c, c_prev = (2.0 * (k + alpha - 1.0) * _times_jacobi(c, b)
+                     - (k + 2.0 * alpha - 2.0) * c_prev) / k, c
+    return math.exp(_log_zonal_norm(d, L)) * c[:, :, :size]
+
+
 def zonal_coupling_w(d, L, l1, l2, m2):
     """Reduced coupling W(i1, i2, (L, 0)) for indices sharing an m-vector.
 
@@ -322,112 +361,35 @@ def zonal_coupling_w(d, L, l1, l2, m2):
     through its leading entry m2; the deeper-angle factors integrate to the
     squared norms and cancel against the normalizations.  What remains is a
     single polar integral of three Gegenbauer polynomials of order
-    lam = m2 + (d-1)/2, (d-1)/2 against the weight (1-x^2)^(lam-1/2).
+    lam = m2 + (d-1)/2, (d-1)/2 against the weight (1-x^2)^(lam-1/2), read
+    off the Jacobi matrix by `zonal_band_diagonals`.
     """
     if min(l1, l2) < m2 or m2 < 0:
         return 0.0
     if (l1 + l2 + L) % 2 != 0 or not abs(l1 - l2) <= L <= l1 + l2:
         return 0.0
-    lam = m2 + (d - 1) / 2.0
-    alpha = (d - 1) / 2.0
-    n1, n2 = l1 - m2, l2 - m2
-    rule = quadrature(lam - 0.5, (n1 + n2 + L) // 2 + 4)
-    integral = rule.integrate(gegenbauer(lam, n1, rule.nodes)
-                              * gegenbauer(lam, n2, rule.nodes)
-                              * gegenbauer(alpha, L, rule.nodes))
-    log_scale = (_log_zonal_norm(d, L)
-                 - 0.5 * (_log_h(n1, lam) + _log_h(n2, lam)))
-    return math.exp(log_scale) * integral
+    lo, hi = sorted((l1, l2))
+    diag = zonal_band_diagonals(d, L, [m2], hi - m2 + 1)
+    return float(diag[hi - lo, 0, lo - m2])
 
 
 def zonal_band_matrix(d, L, m2, l_lo, l_hi):
     """Matrix of w_L(l, l', m2) for l, l' in [l_lo, l_hi] (band |l-l'| <= L).
 
-    Vectorized helper for block assembly: builds one Gegenbauer table on a
-    shared node set and fills the admissible band by weighted dot products.
+    A dense view of `zonal_band_diagonals` for block assembly; rows and
+    columns of degree below m2 couple to nothing and stay zero.
     """
-    nmax = l_hi - m2
-    lam = m2 + (d - 1) / 2.0
-    alpha = (d - 1) / 2.0
-    rule = quadrature(lam - 0.5, nmax + L // 2 + 4)
-    table = gegenbauer_all(lam, nmax, rule.nodes)
-    u = rule.weights * gegenbauer(alpha, L, rule.nodes)
-    log_h = np.array([_log_h(n, lam) for n in range(nmax + 1)])
-    scale = np.exp(-0.5 * log_h)
-    norm = math.exp(_log_zonal_norm(d, L))
     size = l_hi - l_lo + 1
     out = np.zeros((size, size))
-    for i, l1 in enumerate(range(l_lo, l_hi + 1)):
-        for l2 in range(max(l_lo, l1 - L), min(l_hi, l1 + L) + 1):
-            if (l1 + l2 + L) % 2 != 0:
-                continue
-            n1, n2 = l1 - m2, l2 - m2
-            out[i, l2 - l_lo] = (norm * scale[n1] * scale[n2]
-                                 * float(np.dot(table[n1] * u, table[n2])))
+    first = max(l_lo, m2)
+    if first > l_hi:
+        return out
+    diag = zonal_band_diagonals(d, L, [m2], l_hi - m2 + 1)[:, 0, first - m2:]
+    k = first - l_lo
+    for o in range(L % 2, min(L, size - 1 - k) + 1, 2):
+        i = np.arange(k, size - o)
+        out[i, i + o] = out[i + o, i] = diag[o, :size - k - o]
     return out
-
-
-# ----------------------------------------------------------------------
-# zonal coupling tables
-
-
-@dataclass
-class CouplingTable:
-    """Precomputed reduced couplings W(i1, i2, (L, 0)) up to a degree cutoff.
-
-    Entries are keyed by (l1, l2, m2); the value is shared by every pair of
-    indices with that degree pair and a common m-vector of leading entry
-    m2.  Triples failing the selection rules are simply absent.
-    """
-
-    d: int
-    ell_max: int
-    L: int
-    entries: dict = field(default_factory=dict)
-
-    def lookup(self, i1, i2, i3):
-        """Coupling value for explicit indices (third slot (L, 0))."""
-        if not (i1.d == i2.d == i3.d == self.d):
-            raise ValidationError("table lookup with mixed dimensions")
-        if i3.ell != self.L or any(v != 0 for v in i3.m):
-            raise ValidationError("table holds third slot (%d, 0) only" % self.L)
-        if i1.m != i2.m:
-            return 0.0
-        m2 = abs(i1.m[0]) if self.d == 2 else i1.m[0]
-        return self.entries.get((i1.ell, i2.ell, m2), 0.0)
-
-    def save(self, path):
-        """Serialize to a versioned .npz cache file."""
-        keys = np.array(sorted(self.entries), dtype=np.int64)
-        vals = np.array([self.entries[tuple(k)] for k in keys])
-        np.savez(path, header=np.array([TABLE_FORMAT_VERSION, self.d,
-                                        self.ell_max, self.L], dtype=np.int64),
-                 keys=keys, values=vals)
-
-    @classmethod
-    def load(cls, path):
-        with np.load(path) as data:
-            version, d, ell_max, L = (int(v) for v in data["header"])
-            if version != TABLE_FORMAT_VERSION:
-                raise ValidationError("unknown coupling-table format version %d"
-                                      % version)
-            entries = {tuple(int(v) for v in k): float(w)
-                       for k, w in zip(data["keys"], data["values"])}
-        return cls(d=d, ell_max=ell_max, L=L, entries=entries)
-
-
-def zonal_coupling_table(d, ell_max, L):
-    """All reduced couplings w_L(l1, l2, m2) with l1, l2 <= ell_max."""
-    if L < 1:
-        raise ValidationError("density degree L must be >= 1, got %r" % (L,))
-    entries = {}
-    for l1 in range(ell_max + 1):
-        for l2 in range(max(0, l1 - L), min(ell_max, l1 + L) + 1):
-            if (l1 + l2 + L) % 2 != 0 or not abs(l1 - l2) <= L <= l1 + l2:
-                continue
-            for m2 in range(0, min(l1, l2) + 1):
-                entries[(l1, l2, m2)] = zonal_coupling_w(d, L, l1, l2, m2)
-    return CouplingTable(d=d, ell_max=ell_max, L=L, entries=entries)
 
 
 # ----------------------------------------------------------------------

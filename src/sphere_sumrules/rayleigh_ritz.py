@@ -13,7 +13,7 @@ in the tens of thousands into ell_max + 1 small ones.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -99,14 +99,6 @@ class GeneralizedProblem:
                                   "problem; this one has %d blocks"
                                   % len(self.blocks))
         return self.blocks[0].overlap
-
-    def shifted(self, gamma):
-        """Same pencil with A replaced by A + gamma (diagnostic use)."""
-        if gamma <= 0:
-            raise ValidationError("shift must be positive, got %r" % (gamma,))
-        blocks = tuple(replace(b, stiffness=b.stiffness + gamma)
-                       for b in self.blocks)
-        return replace(self, blocks=blocks)
 
 
 def _check_spd(matrix, what):

@@ -157,56 +157,85 @@ def _coupled_triples(density):
     return out
 
 
-def _cubic_core(density, exps, gamma, lcut):
-    """Triple trace over sigma insertions, truncated at degree lcut.
+def _cubic_powers(exps, gamma):
+    """Denominator powers of the three insertions: 1/lambda^(e+1) unshifted,
+    1/(lambda + gamma) shifted."""
+    return [e + 1 for e in exps] if gamma is None else [1, 1, 1]
+
+
+# m2 rows per chunk of the cubic trace's (m2, n) grid: bounds the working
+# set at a few MB whatever the cutoff.
+_CUBIC_CHUNK_ROWS = 64
+
+
+def _cubic_core(density, exps, gamma, cuts):
+    """Triple trace over sigma insertions, truncated at each degree in cuts.
 
     gamma=None gives the unshifted trace over l >= 1 with weights
     1/lambda^(e+1); a positive gamma includes the l = 0 row with weights
-    1/(lambda + gamma)."""
+    1/(lambda + gamma).  The couplings are banded, so each trace is a sum
+    over coupled degree triples and band offsets (d1, d2) of elementwise
+    products on the (m2, n) grid, l = m2 + n, weighted by the multiplicity
+    g_{d-1}(m2) of each block.  Every cut shares one set of bands: a
+    smaller cut only zeroes the weights of degrees above it.  Returns the
+    traces as an array, one per cut.
+    """
     d = density.d
     zc = density.zonal_coeffs()
     triples = _coupled_triples(density)
-    degs = sorted(zc)
     floor = 1 if gamma is None else 0
     shift = 0.0 if gamma is None else gamma
-    powers = [e + 1 for e in exps] if gamma is None else [1, 1, 1]
-    total = 0.0
-    for m2 in range(0, lcut + 1):
-        lo = max(floor, m2)
-        if lo > lcut:
-            break
-        n = lcut - lo + 1
-        bands = {L: harmonics.zonal_band_matrix(d, L, m2, lo, lcut)
-                 for L in degs}
-        ls = np.arange(lo, lcut + 1, dtype=float)
-        lam = ls * (ls + d - 1) + shift
-        dvec = [lam ** -pw for pw in powers]
-        gm = harmonics.degeneracy(d - 1, m2)
+    powers = _cubic_powers(exps, gamma)
+    cuts = np.asarray(cuts).reshape(-1, 1, 1)
+    lcut = int(cuts.max())
+    total = np.zeros(cuts.shape[0])
+    for first in range(0, lcut + 1, _CUBIC_CHUNK_ROWS):
+        m2 = np.arange(first, min(first + _CUBIC_CHUNK_ROWS, lcut + 1))
+        width = lcut - first + 1
+        ls = m2[:, None] + np.arange(width)
+        lam = np.where((ls >= floor) & (ls <= cuts),
+                       ls * (ls + d - 1.0) + shift, np.inf)
+        gm = np.array([float(harmonics.degeneracy(d - 1, m)) for m in m2])
+        wts = [lam ** -pw for pw in powers]
+        wts[0] = wts[0] * gm[:, None]
+        bands = {L: harmonics.zonal_band_diagonals(d, L, m2, width)
+                 for L in zc}
+
+        def band(L, o, i0, i1):
+            """w_L(l, l + o) for the grid columns n = i0..i1."""
+            return (bands[L][o, :, i0:i1 + 1] if o >= 0
+                    else bands[L][-o, :, i0 + o:i1 + 1 + o])
+
         for (L1, L2, L3) in triples:
-            coeff = gm * zc[L1] * zc[L2] * zc[L3]
-            W1, W2, W3 = bands[L1], bands[L2], bands[L3]
-            acc = 0.0
-            for d1 in range(-L2, L2 + 1):
-                if (L2 + d1) % 2:
-                    continue
-                for d2 in range(-L3, L3 + 1):
-                    if (L3 + d2) % 2 or abs(d1 + d2) > L1:
+            acc = np.zeros_like(total)
+            for d1 in range(-L2, L2 + 1, 2):
+                for d2 in range(-L3, L3 + 1, 2):
+                    e = d1 + d2
+                    if abs(e) > L1:
                         continue
-                    i0 = max(0, -d1, -d1 - d2)
-                    i1 = n - 1 - max(0, d1, d1 + d2)
+                    i0 = max(0, -d1, -e)
+                    i1 = width - 1 - max(0, d1, e)
                     if i1 < i0:
                         continue
-                    i = np.arange(i0, i1 + 1)
-                    acc += float(np.sum(
-                        dvec[0][i] * W2[i, i + d1] * dvec[1][i + d1]
-                        * W3[i + d1, i + d1 + d2] * dvec[2][i + d1 + d2]
-                        * W1[i + d1 + d2, i]))
-            total += coeff * acc
+                    acc += np.sum(
+                        wts[0][..., i0:i1 + 1] * band(L2, d1, i0, i1)
+                        * wts[1][..., i0 + d1:i1 + 1 + d1]
+                        * band(L3, d2, i0 + d1, i1 + d1)
+                        * wts[2][..., i0 + e:i1 + 1 + e]
+                        * band(L1, e, i0, i1), axis=(1, 2))
+            total += zc[L1] * zc[L2] * zc[L3] * acc
     return total
 
 
 def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
-    """Cubic trace with a shell-difference truncation estimate."""
+    """Cubic trace with a shell-difference truncation estimate.
+
+    The trace is also taken at an inner cut 16 degrees down.  Its summand
+    falls like l^-(2 sum(powers)) while the m2-summed grid grows like
+    l^(d-1), so the tail beyond lcut falls like lcut^-s with
+    s = 2 sum(powers) - d, and the tail is the shell difference scaled by
+    lcut / (s * shell width).
+    """
     if not _coupled_triples(density):
         return 0.0, 0.0
     if not density.is_zonal:
@@ -214,10 +243,11 @@ def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
             "the cubic trace term is implemented for zonal densities only "
             "(non-zonal support would need the full coupling tensor)")
     inner = max(density.ell_max + 1, lcut - 16)
-    value = _cubic_core(density, exps, gamma, lcut)
-    shell = value - _cubic_core(density, exps, gamma, inner)
-    err = abs(shell) * lcut / (4.0 * max(1, lcut - inner)) + 1e-15 * abs(value)
-    return value, err
+    value, inner_value = _cubic_core(density, exps, gamma, (lcut, inner))
+    s = 2 * sum(_cubic_powers(exps, gamma)) - density.d
+    err = (abs(value - inner_value) * lcut / (s * max(1, lcut - inner))
+           + 1e-15 * abs(value))
+    return float(value), float(err)
 
 
 # ----------------------------------------------------------------------

@@ -9,13 +9,13 @@ m-summed pair strengths) and by the addition theorem.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer, roots_legendre, sph_harm_y
 
 from sphere_sumrules.errors import ValidationError
 from sphere_sumrules.harmonics import (
-    CouplingTable,
     HarmonicIndex,
     addition_eval,
     coupling_W,
@@ -31,7 +31,6 @@ from sphere_sumrules.harmonics import (
     pair_strength_offset,
     sphere_volume,
     zonal_band_matrix,
-    zonal_coupling_table,
     zonal_coupling_w,
 )
 
@@ -337,20 +336,66 @@ def test_zonal_band_matrix_matches_entries():
                 zonal_coupling_w(d, L, l1, l2, m2), rel=1e-12, abs=1e-15)
 
 
-def test_coupling_table_roundtrip(tmp_path):
-    table = zonal_coupling_table(3, 4, 2)
-    path = tmp_path / "w.npz"
-    table.save(path)
-    loaded = CouplingTable.load(path)
-    assert loaded.d == 3 and loaded.ell_max == 4 and loaded.L == 2
-    assert loaded.entries == pytest.approx(table.entries)
-    i1 = HarmonicIndex(3, 3, (1, -1))
-    i2 = HarmonicIndex(3, 3, (1, -1))
-    i3 = HarmonicIndex(3, 2, (0, 0))
-    assert loaded.lookup(i1, i2, i3) == pytest.approx(
-        zonal_coupling_w(3, 2, 3, 3, 1), rel=1e-12)
-    # differing m-vectors cannot couple to a zonal third slot
-    assert loaded.lookup(HarmonicIndex(3, 3, (2, 0)), i2, i3) == 0.0
+def _mp_zonal_band(d, L, m2, ell_max):
+    """w_L(l, l', m2) for m2 <= l, l' <= ell_max at 40 digits.
+
+    Column j of C_L^alpha(J_lam) by the Gegenbauer recurrence on vectors:
+    L steps from row j stay within rows j - L .. j + L, so each column is
+    exact on that window of the untruncated Jacobi matrix.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        lam = mp.mpf(m2) + mp.mpf(d - 1) / 2
+        alpha = mp.mpf(d - 1) / 2
+        size = ell_max - m2 + 1
+
+        b = {n: (mp.sqrt(n * (n + 2 * lam - 1)
+                         / (4 * (n + lam) * (n + lam - 1))) if n > 0 else 0)
+             for n in range(-L - 1, size + L + 2)}
+
+        h_L = (mp.pi * mp.power(2, 1 - 2 * alpha) * mp.gamma(L + 2 * alpha)
+               / (mp.factorial(L) * (L + alpha) * mp.gamma(alpha) ** 2))
+        vol_sub = 2 * mp.power(mp.pi, mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+        norm = 1 / mp.sqrt(vol_sub * h_L)
+        out = np.zeros((size, size))
+        for j in range(size):
+            rows = range(j - L - 1, j + L + 2)      # one zero guard each side
+            prev = {n: mp.mpf(0) for n in rows}
+            cur = {n: mp.mpf(int(n == j)) for n in rows}
+            for k in range(1, L + 1):
+                nxt = dict.fromkeys(rows, mp.mpf(0))
+                for n in rows[1:-1]:
+                    xv = b[n] * cur[n - 1] + b[n + 1] * cur[n + 1]
+                    nxt[n] = ((2 * (k + alpha - 1) * xv
+                               - (k + 2 * alpha - 2) * prev[n]) / k)
+                cur, prev = nxt, cur
+            for i in range(max(0, j - L), min(size, j + L + 1)):
+                out[i, j] = float(norm * cur[i])
+    return out
+
+
+def test_zonal_band_matrix_matches_mpmath_jacobi_reference():
+    for d in (3, 5):
+        for L in (2, 3):
+            for m2 in (0, 17, 40):
+                want = _mp_zonal_band(d, L, m2, 60)
+                got = zonal_band_matrix(d, L, m2, m2, 60)
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+def test_zonal_band_matrix_finite_at_large_order():
+    # Gauss-Jacobi rules fail to converge around this order and degree
+    band = zonal_band_matrix(3, 3, 301, 301, 740)
+    assert np.isfinite(band).all()
+    assert np.abs(band).max() > 0.0
+
+
+def test_zonal_band_matrix_rows_below_m2_are_zero():
+    band = zonal_band_matrix(4, 2, 3, 1, 8)
+    assert not band[:2].any() and not band[:, :2].any()
+    assert np.allclose(band[2:, 2:], zonal_band_matrix(4, 2, 3, 3, 8),
+                       rtol=0, atol=0)
 
 
 # ----------------------------------------------------------------------

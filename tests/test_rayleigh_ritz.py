@@ -125,13 +125,6 @@ def test_rotated_tilt_has_identical_spectrum():
     assert np.max(np.abs(sr.expand() - st.expand())) < 1e-9
 
 
-def test_shifted_pencil_offsets_uniform_levels():
-    prob = rr.assemble(3, 3, DensitySpec.uniform(3)).shifted(0.5)
-    spec = rr.solve_spectrum(prob)
-    want = np.repeat([0.5, 3.5, 8.5, 15.5], [1, 4, 9, 16])
-    assert np.allclose(spec.expand(), want, atol=1e-12)
-
-
 def test_non_zonal_density_refused_by_zonal_mode():
     c = 1.0 / math.sqrt(2.0)
     den = DensitySpec.from_coeffs(3, {HarmonicIndex(3, 1, (1, 1)): c,

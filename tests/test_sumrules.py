@@ -173,6 +173,33 @@ def test_trunc_error_shrinks_with_cutoff():
     assert abs(loose["value"] - tight["value"]) < 1e-6
 
 
+# zonal density whose degrees 1, 2 and 3 make every coupled-triple shape live
+CUBIC_COEFFS = {1: 0.3, 2: 0.2, 3: 0.1}
+
+
+@pytest.fixture(scope="module")
+def cubic_sum_rules():
+    """sum_rule(d, 3) of the CUBIC_COEFFS density at cutoffs 200 and 800."""
+    return {d: {cut: sum_rule(d, 3, DensitySpec.zonal(d, CUBIC_COEFFS),
+                              ell_cut=cut) for cut in (200, 800)}
+            for d in (3, 4, 5)}
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_cubic_trunc_error_covers_gap_to_fourfold_cutoff(cubic_sum_rules, d):
+    coarse, fine = cubic_sum_rules[d][200], cubic_sum_rules[d][800]
+    assert coarse.trunc_error >= abs(coarse.value - fine.value)
+
+
+def test_cubic_sum_rule_past_gauss_jacobi_failure(cubic_sum_rules):
+    # Gauss-Jacobi rules for these bands fail to converge near cutoff 740
+    res3 = cubic_sum_rules[3][800]
+    res5 = sum_rule(5, 3, DensitySpec.zonal(5, CUBIC_COEFFS), ell_cut=740)
+    for res in (res3, res5):
+        assert math.isfinite(res.value) and math.isfinite(res.trunc_error)
+    assert res5.ell_cut == 740
+
+
 # ----------------------------------------------------------------------
 # perturbation coefficients: closed forms vs the recursion
 

@@ -1,0 +1,88 @@
+"""Property tests of the zonal couplings and the cubic trace.
+
+Random positive zonal densities on S^2..S^5 with degrees up to 4 drive two
+checks: Jacobi-matrix band entries against the generic Gauss-Jacobi
+coupling W, and the grid-vectorized cubic trace against a naive loop over
+m2 blocks and coupled triples with dense band matrices.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from sphere_sumrules.density import DensitySpec
+from sphere_sumrules.harmonics import (HarmonicIndex, coupling_W, degeneracy,
+                                       enumerate_m, sphere_volume,
+                                       zonal_band_matrix)
+from sphere_sumrules import sumrules
+from sphere_sumrules.sumrules import _coupled_triples, _cubic_core
+
+
+@st.composite
+def zonal_densities(draw):
+    """Positive zonal density: sum_L |c_L| max|Y_{L,0}| stays below 0.9."""
+    d = draw(st.integers(2, 5))
+    degrees = draw(st.sets(st.integers(1, 4), min_size=1, max_size=4))
+    raw = {L: draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 1.0))
+           for L in sorted(degrees)}
+    vol = sphere_volume(d)
+    reach = sum(abs(c) * math.sqrt(degeneracy(d, L) / vol)
+                for L, c in raw.items())
+    scale = 0.9 / max(reach, 1.0)
+    return DensitySpec.zonal(d, {L: c * scale for L, c in raw.items()})
+
+
+@given(den=zonal_densities(), data=st.data())
+def test_band_entries_match_generic_coupling(den, data):
+    d = den.d
+    L = data.draw(st.sampled_from(sorted(den.zonal_coeffs())))
+    m2 = data.draw(st.integers(0, 6))
+    l_hi = m2 + data.draw(st.integers(L, 10))
+    band = zonal_band_matrix(d, L, m2, m2, l_hi)
+    l1 = data.draw(st.integers(m2, l_hi))
+    l2 = data.draw(st.integers(max(m2, l1 - L), min(l_hi, l1 + L)))
+    # any admissible m-vector with leading entry m2 shares the reduced value
+    tails = [()] if d == 2 else enumerate_m(d - 1, m2)
+    m = (m2,) + data.draw(st.sampled_from(tails))
+    want = coupling_W(HarmonicIndex(d, l1, m), HarmonicIndex(d, l2, m),
+                      HarmonicIndex(d, L, (0,) * (d - 1)))
+    got = band[l1 - m2, l2 - m2]
+    assert got == pytest.approx(want, rel=1e-11,
+                                abs=1e-11 * np.abs(band).max())
+
+
+def _naive_cubic_trace(den, exps, gamma, lcut):
+    """The cubic trace block by block: tr(D0 W_L2 D1 W_L3 D2 W_L1) per m2."""
+    d = den.d
+    zc = den.zonal_coeffs()
+    floor = 1 if gamma is None else 0
+    shift = 0.0 if gamma is None else gamma
+    powers = [e + 1 for e in exps] if gamma is None else [1, 1, 1]
+    total = 0.0
+    for m2 in range(lcut + 1):
+        lo = max(floor, m2)
+        ls = np.arange(lo, lcut + 1, dtype=float)
+        lam = ls * (ls + d - 1) + shift
+        D = [np.diag(lam ** -pw) for pw in powers]
+        W = {L: zonal_band_matrix(d, L, m2, lo, lcut) for L in zc}
+        for L1, L2, L3 in _coupled_triples(den):
+            chain = D[0] @ W[L2] @ D[1] @ W[L3] @ D[2] @ W[L1]
+            total += (degeneracy(d - 1, m2) * zc[L1] * zc[L2] * zc[L3]
+                      * np.trace(chain))
+    return total
+
+
+@given(den=zonal_densities(), lcut=st.integers(5, 30),
+       exps=st.tuples(*[st.integers(0, 1)] * 3),
+       gamma=st.one_of(st.none(), st.floats(1e-3, 1.0)),
+       chunk=st.integers(1, 40))
+def test_cubic_core_matches_naive_trace(den, lcut, exps, gamma, chunk):
+    lcut = max(lcut, den.ell_max + 1)
+    want = _naive_cubic_trace(den, exps, gamma, lcut)
+    # small chunks put chunk boundaries inside the grid
+    with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
+        got, = _cubic_core(den, exps, gamma, (lcut,))
+    assert got == pytest.approx(want, rel=1e-12)
