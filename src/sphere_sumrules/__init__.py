@@ -17,9 +17,9 @@ from .errors import (CutoffTooSmallError, DivergentSumError,
 from .greens import GreenOrder, green_closed_form, green_spectral
 from .harmonics import (HarmonicIndex, coupling_W, degeneracy, eigenvalue,
                         pair_strength, sphere_volume)
-from .rayleigh_ritz import (GeneralizedProblem, SpectrumEstimate,
-                            TruncatedBasis, assemble, basis_size,
-                            partial_sum, solve_spectrum, truncated_basis)
+from .rayleigh_ritz import (GeneralizedProblem, SpectrumEstimate, assemble,
+                            basis_size, partial_sum, solve_spectrum,
+                            truncated_basis)
 from .sumrules import (EpsilonCoeffs, SumRuleResult, closed_form_reference,
                        density_integrals, epsilon_closed, epsilon_recursive,
                        p_min, sum_rule, sum_rule_shifted, zeta_uniform)
@@ -33,7 +33,7 @@ __all__ = [
     "CutoffTooSmallError", "DeltaSample", "DensitySpec", "DivergentSumError",
     "EpsilonCoeffs", "GeneralizedProblem", "GreenOrder", "HarmonicIndex",
     "NonConvergenceError", "SpectrumEstimate", "SphereSumRulesError",
-    "SumRuleResult", "TruncatedBasis", "UnsupportedDensityError",
+    "SumRuleResult", "UnsupportedDensityError",
     "UnsupportedOrderError", "ValidationError", "WeylModel", "assemble",
     "basis_size", "closed_form_reference", "coupling_W", "degeneracy",
     "delta", "delta_model", "density_integrals", "eigenvalue",

@@ -9,7 +9,7 @@ Sigma = 1 + kappa Y_{1,0} (a tilt along the polar axis) gets an exact
 positivity bound |kappa| < sqrt(Vol/(d+1)) instead of a sampled one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -58,7 +58,6 @@ class DensitySpec:
 
     d: int
     entries: tuple = ()
-    zonal_kappa: float = None
 
     def __post_init__(self):
         if self.d < 2 or self.d != int(self.d):
@@ -84,13 +83,6 @@ class DensitySpec:
                 cleaned.append((idx, c))
         cleaned.sort(key=lambda item: (item[0].ell, item[0].m))
         object.__setattr__(self, "entries", tuple(cleaned))
-        if self.zonal_kappa is not None:
-            pole = harmonics.HarmonicIndex(self.d, 1, (0,) * (self.d - 1))
-            if (not abs(self.zonal_kappa) < kappa_bound(self.d)
-                    or self.entries != ((pole, complex(self.zonal_kappa)),)):
-                raise ValidationError(
-                    "zonal_kappa=%r does not describe these coefficients"
-                    % (self.zonal_kappa,))
         self._check_reality()
         self._check_positivity()
 
@@ -113,7 +105,7 @@ class DensitySpec:
         if kappa == 0.0:
             return cls.uniform(d)
         idx = harmonics.HarmonicIndex(d, 1, (0,) * (d - 1))
-        return cls(d=d, entries=((idx, kappa),), zonal_kappa=kappa)
+        return cls(d=d, entries=((idx, kappa),))
 
     @classmethod
     def zonal(cls, d, coeffs):

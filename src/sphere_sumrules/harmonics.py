@@ -34,11 +34,10 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import QuadratureRule, quadrature
+from .quadrature import quadrature
 
 __all__ = [
-    "HarmonicIndex", "QuadratureRule", "quadrature",
-    "degeneracy", "eigenvalue", "sphere_volume",
+    "HarmonicIndex", "degeneracy", "eigenvalue", "sphere_volume",
     "gegenbauer", "gegenbauer_all", "gegenbauer_at_one", "log_gegenbauer_at_one",
     "eval_harmonic", "coupling_W", "zonal_coupling_w", "zonal_band_diagonals",
     "zonal_band_matrix", "addition_eval", "pair_strength", "log_degeneracy",

@@ -37,29 +37,16 @@ def basis_size(d, ell_max):
     return total
 
 
-@dataclass(frozen=True)
-class TruncatedBasis:
-    """All harmonic indices with degree <= ell_max, in canonical order."""
-
-    d: int
-    ell_max: int
-    indices: tuple
-
-    @property
-    def size(self):
-        return len(self.indices)
-
-
 def truncated_basis(d, ell_max):
-    """Build the degree-ordered basis; within a degree, lexicographic m."""
+    """Degree-ordered harmonic indices with degree <= ell_max; within a
+    degree, lexicographic m."""
     indices = tuple(harmonics.HarmonicIndex(d, ell, m)
                     for ell in range(ell_max + 1)
                     for m in harmonics.enumerate_m(d, ell))
-    basis = TruncatedBasis(d, ell_max, indices)
-    if basis.size != basis_size(d, ell_max):
+    if len(indices) != basis_size(d, ell_max):
         raise ValidationError("basis enumeration does not match the closed "
                               "count for d=%d, ell_max=%d" % (d, ell_max))
-    return basis
+    return indices
 
 
 @dataclass(frozen=True)
@@ -79,26 +66,8 @@ class GeneralizedProblem:
 
     d: int
     ell_max: int
-    mode: str
     blocks: tuple
     density: DensitySpec
-    basis: TruncatedBasis = None
-
-    @property
-    def stiffness(self):
-        if len(self.blocks) != 1:
-            raise ValidationError("stiffness/overlap views need the unsplit "
-                                  "problem; this one has %d blocks"
-                                  % len(self.blocks))
-        return self.blocks[0].stiffness
-
-    @property
-    def overlap(self):
-        if len(self.blocks) != 1:
-            raise ValidationError("stiffness/overlap views need the unsplit "
-                                  "problem; this one has %d blocks"
-                                  % len(self.blocks))
-        return self.blocks[0].overlap
 
 
 def _check_spd(matrix, what):
@@ -111,14 +80,17 @@ def _check_spd(matrix, what):
 
 
 def _assemble_full(d, ell_max, density):
-    basis = truncated_basis(d, ell_max)
-    idx = basis.indices
-    n = basis.size
+    idx = truncated_basis(d, ell_max)
+    n = len(idx)
     entries = density.entries
     complex_density = any(abs(complex(c).imag) > 0 for _, c in entries)
     overlap = np.eye(n, dtype=complex if complex_density else float)
     for i in range(n):
         for j in range(i, n):
+            # degree-ordered basis: past this gap the triangle rule makes
+            # every coupling, and so every later j, an exact zero
+            if idx[j].ell - idx[i].ell > density.ell_max:
+                break
             acc = 0.0
             for cidx, c in entries:
                 w = harmonics.coupling_W(idx[i], idx[j], cidx)
@@ -131,7 +103,7 @@ def _assemble_full(d, ell_max, density):
     stiffness = np.array([harmonics.eigenvalue(d, h.ell) for h in idx],
                          dtype=float)
     block = ProblemBlock(-1, 1, stiffness, overlap)
-    return GeneralizedProblem(d, ell_max, "full", (block,), density, basis)
+    return GeneralizedProblem(d, ell_max, (block,), density)
 
 
 def _assemble_zonal(d, ell_max, density):
@@ -146,8 +118,7 @@ def _assemble_zonal(d, ell_max, density):
         _check_spd(overlap, "m2=%d block" % m2)
         mult = harmonics.degeneracy(d - 1, m2)
         blocks.append(ProblemBlock(m2, mult, stiffness, overlap))
-    return GeneralizedProblem(d, ell_max, "zonal_blocks", tuple(blocks),
-                              density)
+    return GeneralizedProblem(d, ell_max, tuple(blocks), density)
 
 
 def assemble(d, ell_max, density, mode=None):

@@ -30,7 +30,7 @@ import math
 import numpy as np
 from scipy import special
 
-from . import harmonics, tails
+from . import harmonics, rayleigh_ritz, tails
 from .density import DensitySpec, kappa_bound
 from .errors import (CutoffTooSmallError, DivergentSumError,
                      UnsupportedDensityError, UnsupportedOrderError,
@@ -50,6 +50,12 @@ _ORDER_COUNT = {"I1": 1, "I2": 2, "I3": 3, "J1": 2, "J2": 3}
 def p_min(d):
     """Smallest power with a convergent uniform-density sum, floor((d+2)/2)."""
     return (d + 2) // 2
+
+
+def _check_density(density):
+    if not isinstance(density, DensitySpec):
+        raise ValidationError("density must be a DensitySpec, got %r"
+                              % type(density).__name__)
 
 
 def _check_dimension(d):
@@ -386,8 +392,7 @@ def density_integrals(kind, orders, density, ell_cut=None):
                               % (kind, _ORDER_COUNT[kind], orders))
     if any(v < 0 for v in orders):
         raise ValidationError("kernel orders must be >= 0, got %r" % (orders,))
-    if not isinstance(density, DensitySpec):
-        raise ValidationError("density must be a DensitySpec")
+    _check_density(density)
     _check_dimension(density.d)
     switch = max(DEFAULT_ELL_CUT, ell_cut or 0)
     if ell_cut is not None and ell_cut < density.ell_max + 1:
@@ -413,6 +418,7 @@ def density_integrals(kind, orders, density, ell_cut=None):
 
 def epsilon_closed(density):
     """(eps_1..eps_4) of E0(gamma) from the closed coefficient formulas."""
+    _check_density(density)
     vol = harmonics.sphere_volume(density.d)
     i10 = _I1(0, density)
     i11 = _I1(1, density)
@@ -429,44 +435,17 @@ def epsilon_closed(density):
     return EpsilonCoeffs(eps=(1.0, e2, e3, e4))
 
 
-def _recursion_operators(density, ell_cut):
-    """Basis list, multiplication matrix B of Sigma, and reduced inverse."""
-    d = density.d
-    if density.is_zonal:
-        zc = density.zonal_coeffs()
-        size = ell_cut + 1
-        B = np.eye(size)
-        for L, c in zc.items():
-            B += c * harmonics.zonal_band_matrix(d, L, 0, 0, ell_cut)
-        lam = np.array([_lam(d, l) for l in range(size)])
-    else:
-        basis = [harmonics.HarmonicIndex(d, 0, (0,) * (d - 1))]
-        for ell in range(1, ell_cut + 1):
-            basis.extend(harmonics.HarmonicIndex(d, ell, m)
-                         for m in harmonics.enumerate_m(d, ell))
-        size = len(basis)
-        B = np.eye(size, dtype=complex)
-        lmax = density.ell_max
-        for a, j in enumerate(basis):
-            for b, jp in enumerate(basis):
-                if abs(j.ell - jp.ell) > lmax:
-                    continue
-                elem = _sigma_element(density, j, jp)
-                if elem != 0:
-                    B[a, b] += elem
-        lam = np.array([_lam(d, j.ell) for j in basis])
-    ginv = np.zeros(size)
-    ginv[lam > 0] = 1.0 / lam[lam > 0]
-    return B, ginv
-
-
 def epsilon_recursive(density, order, ell_cut=None):
     """eps_k by the projection recursion, independent of the closed forms.
 
     Represents the order-k wavefunction correction as a coefficient vector,
     applies the density as its coupling matrix and the inverted Laplacian
-    as 1/lambda on the nonzero modes, and projects on the zero mode.
+    as 1/lambda on the nonzero modes, and projects on the zero mode.  The
+    coupling matrix is the overlap of the variational problem's block that
+    holds the zero mode at row 0: the m2 = 0 block of a zonal density, the
+    single full block otherwise.
     """
+    _check_density(density)
     order = int(order)
     if order < 1:
         raise ValidationError("order must be >= 1, got %r" % (order,))
@@ -481,7 +460,10 @@ def epsilon_recursive(density, order, ell_cut=None):
         raise CutoffTooSmallError(
             "ell_cut=%d cannot hold order-%d corrections (need >= %d)"
             % (ell_cut, order, needed))
-    B, ginv = _recursion_operators(density, ell_cut)
+    block = rayleigh_ritz.assemble(density.d, ell_cut, density).blocks[0]
+    B, lam = block.overlap, block.stiffness
+    ginv = np.zeros(len(lam))
+    ginv[lam > 0] = 1.0 / lam[lam > 0]
     b00 = B[0, 0].real
     psi = [np.zeros(B.shape[0], dtype=B.dtype)]
     psi[0][0] = 1.0
@@ -513,6 +495,7 @@ def _check_sum_rule_orders(d, p):
 
 def sum_rule(d, p, density, ell_cut=None):
     """The exact renormalized sum rule Z_p for the given density."""
+    _check_density(density)
     _check_sum_rule_orders(d, p)
     if density.d != d:
         raise ValidationError("density has d=%d, asked for d=%d"
@@ -578,6 +561,7 @@ def sum_rule_shifted(d, p, density, gamma, ell_cut=None):
     regrouped form so the leading 1/gamma^p pieces cancel analytically
     rather than in floating point.
     """
+    _check_density(density)
     _check_sum_rule_orders(d, p)
     if density.d != d:
         raise ValidationError("density has d=%d, asked for d=%d"

@@ -18,28 +18,26 @@ from .errors import DivergentSumError
 
 __all__ = ["tail_sum", "accelerated_sum"]
 
-_GL_NODES_CACHE = {}
+# Gauss-Legendre size of the tail integral, and the step of the
+# finite-difference derivatives at the start degree.
+_GL_NODES = 120
+_STEP = 0.5
+
+# the Gauss-Legendre rule, mapped from [-1, 1] to [0, 1]
+_T, _W = np.polynomial.legendre.leggauss(_GL_NODES)
+_T, _W = 0.5 * (_T + 1.0), 0.5 * _W
 
 
-def _gauss_legendre(n):
-    if n not in _GL_NODES_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        # map [-1, 1] -> [0, 1]
-        _GL_NODES_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_NODES_CACHE[n]
-
-
-def _integral_to_infinity(f, a, nodes):
+def _integral_to_infinity(f, a):
     """int_a^inf f(l) dl via the substitution l = a/t, t in (0, 1]."""
-    t, w = _gauss_legendre(nodes)
-    l = a / t
-    vals = f(l) * a / (t * t)
+    l = a / _T
+    vals = f(l) * a / (_T * _T)
     if not np.all(np.isfinite(vals)):
         raise DivergentSumError("tail integrand not finite; sum likely divergent")
-    return float(np.dot(w, vals))
+    return float(np.dot(_W, vals))
 
 
-def tail_sum(f, start, nodes=120, h=0.5):
+def tail_sum(f, start):
     """Euler-Maclaurin value of sum_{l=start}^inf f(l).
 
     f must accept numpy arrays of (possibly non-integer) degrees and decay
@@ -49,7 +47,8 @@ def tail_sum(f, start, nodes=120, h=0.5):
     gauge of the truncation level).
     """
     a = float(start)
-    integral = _integral_to_infinity(f, a, nodes)
+    h = _STEP
+    integral = _integral_to_infinity(f, a)
     stencil = f(np.array([a - 2 * h, a - h, a, a + h, a + 2 * h]))
     fa = float(stencil[2])
     d1 = float(stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (12 * h)
@@ -59,7 +58,7 @@ def tail_sum(f, start, nodes=120, h=0.5):
     return value, abs(d3) / 720.0
 
 
-def accelerated_sum(f, first, switch=200, nodes=120):
+def accelerated_sum(f, first, switch=200):
     """sum_{l=first}^inf f(l): direct terms up to switch, then tail_sum.
 
     Returns (value, error_estimate).
@@ -67,5 +66,5 @@ def accelerated_sum(f, first, switch=200, nodes=120):
     switch = max(int(switch), int(first))
     l_direct = np.arange(first, switch, dtype=float)
     head = float(np.sum(f(l_direct))) if l_direct.size else 0.0
-    tail, err = tail_sum(f, switch, nodes=nodes)
+    tail, err = tail_sum(f, switch)
     return head + tail, err

@@ -31,13 +31,16 @@ def test_tilted_density_basic():
     den = DensitySpec.tilted(3, 1.0)
     assert den.is_zonal
     assert den.ell_max == 1
-    assert den.zonal_kappa == 1.0
     assert den.rho_by_degree() == pytest.approx({1: 1.0})
     assert den.zonal_coeffs() == pytest.approx({1: 1.0})
     # along the pole Y_{1,0} = sqrt((d+1)/Vol) cos(theta)
     scale = math.sqrt(4 / sphere_volume(3))
     assert den.evaluate((0.4, 0.2, 0.0)) == pytest.approx(
         1.0 + scale * math.cos(0.4), rel=1e-12)
+
+
+def test_tilted_equals_degree_one_zonal():
+    assert DensitySpec.tilted(3, 1.0) == DensitySpec.zonal(3, {1: 1.0})
 
 
 def test_tilted_zero_is_uniform():

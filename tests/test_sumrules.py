@@ -261,6 +261,19 @@ def test_epsilon_order_guard():
         epsilon_recursive(den, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda den: sum_rule(3, 2, den),
+    lambda den: sum_rule_shifted(3, 2, den, 0.1),
+    lambda den: epsilon_closed(den),
+    lambda den: epsilon_recursive(den, 2),
+    lambda den: density_integrals("I1", (0,), den),
+], ids=["sum_rule", "sum_rule_shifted", "epsilon_closed",
+        "epsilon_recursive", "density_integrals"])
+def test_non_density_argument_is_a_validation_error(call):
+    with pytest.raises(ValidationError):
+        call("x")
+
+
 # ----------------------------------------------------------------------
 # full sum rules against the closed references
 

@@ -1,9 +1,11 @@
 """Property tests of the zonal couplings and the cubic trace.
 
-Random positive zonal densities on S^2..S^5 with degrees up to 4 drive two
+Random positive zonal densities on S^2..S^5 with degrees up to 4 drive four
 checks: Jacobi-matrix band entries against the generic Gauss-Jacobi
-coupling W, and the grid-vectorized cubic trace against a naive loop over
-m2 blocks and coupled triples with dense band matrices.
+coupling W, the grid-vectorized cubic trace against a naive loop over m2
+blocks and coupled triples with dense band matrices, the zero-mode energy
+recursion against its closed forms, and the zonal-block variational
+spectrum against the full-matrix one.
 """
 
 import math
@@ -17,8 +19,9 @@ from sphere_sumrules.density import DensitySpec
 from sphere_sumrules.harmonics import (HarmonicIndex, coupling_W, degeneracy,
                                        enumerate_m, sphere_volume,
                                        zonal_band_matrix)
-from sphere_sumrules import sumrules
-from sphere_sumrules.sumrules import _coupled_triples, _cubic_core
+from sphere_sumrules import rayleigh_ritz, sumrules
+from sphere_sumrules.sumrules import (_coupled_triples, _cubic_core,
+                                      epsilon_closed, epsilon_recursive)
 
 
 @st.composite
@@ -86,3 +89,19 @@ def test_cubic_core_matches_naive_trace(den, lcut, exps, gamma, chunk):
     with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
         got, = _cubic_core(den, exps, gamma, (lcut,))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@given(den=zonal_densities())
+def test_epsilon_recursion_matches_closed_forms(den):
+    closed = epsilon_closed(den).eps
+    for k in (1, 2, 3, 4):
+        assert epsilon_recursive(den, k) == pytest.approx(closed[k - 1],
+                                                          abs=1e-10)
+
+
+@given(den=zonal_densities(), ell_max=st.integers(1, 3))
+def test_zonal_blocks_match_full_matrix_spectrum(den, ell_max):
+    spectra = [rayleigh_ritz.solve_spectrum(
+        rayleigh_ritz.assemble(den.d, ell_max, den, mode=mode)).expand()
+        for mode in ("zonal_blocks", "full")]
+    np.testing.assert_allclose(*spectra, rtol=1e-10, atol=1e-10)
