@@ -228,8 +228,9 @@ def _phase(idx):
 def eval_harmonic(idx, omega):
     """Value of Y_idx at omega = (theta_1, ..., theta_{d-1}, phi).
 
-    theta_k in [0, pi], phi in [0, 2 pi).  Complex result; the zonal
-    harmonics (m = 0) are real.
+    theta_k in [0, pi], phi in [0, 2 pi).  Scalar angles give a complex;
+    angle arrays of equal shape give a complex array of that shape, one
+    value per point.  The zonal harmonics (m = 0) are real.
     """
     if len(omega) != idx.d:
         raise ValidationError(
@@ -237,8 +238,10 @@ def eval_harmonic(idx, omega):
     thetas, phi = omega[:-1], omega[-1]
     value = _phase(idx) * math.exp(_log_norm(idx))
     for theta, (n_k, lam_k, sin_pow) in zip(thetas, _levels(idx)):
-        value *= math.sin(theta) ** sin_pow * gegenbauer(lam_k, n_k, math.cos(theta))
-    return value * complex(math.cos(idx.m_d * phi), math.sin(idx.m_d * phi))
+        value = value * (np.sin(theta) ** sin_pow
+                         * gegenbauer(lam_k, n_k, np.cos(theta)))
+    value = value * (np.cos(idx.m_d * phi) + 1j * np.sin(idx.m_d * phi))
+    return value if np.ndim(value) else complex(value)
 
 
 # ----------------------------------------------------------------------

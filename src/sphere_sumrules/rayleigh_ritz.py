@@ -106,19 +106,23 @@ def _assemble_full(d, ell_max, density):
     return GeneralizedProblem(d, ell_max, (block,), density)
 
 
+def _zonal_block(d, ell_max, zc, m2):
+    """The m2 block of a zonal density with coefficients zc = {L: c_L}."""
+    ls = np.arange(m2, ell_max + 1)
+    stiffness = ls * (ls + d - 1.0)
+    overlap = np.eye(len(ls))
+    for L, c in zc.items():
+        overlap += c * harmonics.zonal_band_matrix(d, L, m2, m2, ell_max)
+    _check_spd(overlap, "m2=%d block" % m2)
+    mult = harmonics.degeneracy(d - 1, m2)
+    return ProblemBlock(m2, mult, stiffness, overlap)
+
+
 def _assemble_zonal(d, ell_max, density):
     zc = density.zonal_coeffs()
-    blocks = []
-    for m2 in range(ell_max + 1):
-        ls = np.arange(m2, ell_max + 1)
-        stiffness = ls * (ls + d - 1.0)
-        overlap = np.eye(len(ls))
-        for L, c in zc.items():
-            overlap += c * harmonics.zonal_band_matrix(d, L, m2, m2, ell_max)
-        _check_spd(overlap, "m2=%d block" % m2)
-        mult = harmonics.degeneracy(d - 1, m2)
-        blocks.append(ProblemBlock(m2, mult, stiffness, overlap))
-    return GeneralizedProblem(d, ell_max, tuple(blocks), density)
+    blocks = tuple(_zonal_block(d, ell_max, zc, m2)
+                   for m2 in range(ell_max + 1))
+    return GeneralizedProblem(d, ell_max, blocks, density)
 
 
 def assemble(d, ell_max, density, mode=None):

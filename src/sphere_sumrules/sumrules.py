@@ -442,8 +442,8 @@ def epsilon_recursive(density, order, ell_cut=None):
     applies the density as its coupling matrix and the inverted Laplacian
     as 1/lambda on the nonzero modes, and projects on the zero mode.  The
     coupling matrix is the overlap of the variational problem's block that
-    holds the zero mode at row 0: the m2 = 0 block of a zonal density, the
-    single full block otherwise.
+    holds the zero mode at row 0: the m2 = 0 block of a zonal density (the
+    only block built), the single full block otherwise.
     """
     _check_density(density)
     order = int(order)
@@ -460,7 +460,11 @@ def epsilon_recursive(density, order, ell_cut=None):
         raise CutoffTooSmallError(
             "ell_cut=%d cannot hold order-%d corrections (need >= %d)"
             % (ell_cut, order, needed))
-    block = rayleigh_ritz.assemble(density.d, ell_cut, density).blocks[0]
+    if density.is_zonal:
+        block = rayleigh_ritz._zonal_block(density.d, ell_cut,
+                                           density.zonal_coeffs(), 0)
+    else:
+        block = rayleigh_ritz.assemble(density.d, ell_cut, density).blocks[0]
     B, lam = block.overlap, block.stiffness
     ginv = np.zeros(len(lam))
     ginv[lam > 0] = 1.0 / lam[lam > 0]

@@ -37,12 +37,11 @@ def _orthonormality():
     rule2 = quadrature(0.0, 12)
     nphi = 16
     phi = np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
-    grid = [(t1, t2, p) for t1 in np.arccos(rule1.nodes)
-            for t2 in np.arccos(rule2.nodes) for p in phi]
+    grid = tuple(a.ravel() for a in np.meshgrid(
+        np.arccos(rule1.nodes), np.arccos(rule2.nodes), phi, indexing="ij"))
     w12 = np.outer(rule1.weights, rule2.weights).ravel()
     wts = np.repeat(w12, nphi) * (2.0 * math.pi / nphi)
-    vals = np.array([[harmonics.eval_harmonic(i, omega) for omega in grid]
-                     for i in idx])
+    vals = np.array([harmonics.eval_harmonic(i, grid) for i in idx])
     gram = (vals * wts) @ vals.conj().T
     return float(np.max(np.abs(gram - np.eye(len(idx)))))
 

@@ -7,11 +7,13 @@ sextic closed forms for (d, p) in {(3,2), (3,3), (4,3), (5,3)}.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
+from sphere_sumrules import rayleigh_ritz
 from sphere_sumrules.density import DensitySpec, kappa_bound
 from sphere_sumrules.errors import (
     CutoffTooSmallError,
@@ -233,6 +235,15 @@ def test_epsilon_on_non_zonal_density():
     for k in (1, 2, 3, 4):
         assert epsilon_recursive(den, k) == pytest.approx(closed.eps[k - 1],
                                                           abs=1e-10)
+
+
+def test_epsilon_on_zonal_density_builds_only_the_zero_mode_block():
+    den = DensitySpec.zonal(3, {1: 0.3, 2: 0.2, 3: 0.1})
+    with mock.patch.object(rayleigh_ritz, "_zonal_block",
+                           wraps=rayleigh_ritz._zonal_block) as build:
+        epsilon_recursive(den, 4)
+    assert build.call_count == 1
+    assert build.call_args.args[3] == 0
 
 
 def test_epsilon_first_orders_analytic():
