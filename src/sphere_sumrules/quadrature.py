@@ -8,14 +8,13 @@ n points integrates such integrands exactly for polynomial degree up to
 
 from dataclasses import dataclass
 from functools import lru_cache
-import math
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import ValidationError, NonConvergenceError
 
-__all__ = ["QuadratureRule", "quadrature", "total_weight"]
+__all__ = ["QuadratureRule", "quadrature"]
 
 
 @dataclass(frozen=True)
@@ -25,21 +24,10 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     alpha: float
-    degree_exact: int
 
     def integrate(self, values):
         """Integral of f against the weight, given f sampled on the nodes."""
         return float(np.dot(self.weights, values))
-
-
-def total_weight(alpha):
-    """Closed form of the zeroth moment int_-1^1 (1-x^2)^alpha dx."""
-    # 2^(2a+1) B(a+1, a+1) via log-gammas to keep large alpha safe.
-    return math.exp(
-        (2 * alpha + 1) * math.log(2.0)
-        + 2 * math.lgamma(alpha + 1.0)
-        - math.lgamma(2 * alpha + 2.0)
-    )
 
 
 @lru_cache(maxsize=4096)
@@ -58,7 +46,7 @@ def quadrature(alpha, npoints):
 
     Returns
     -------
-    QuadratureRule with degree_exact = 2*npoints - 1.
+    QuadratureRule, exact for polynomial degree up to 2*npoints - 1.
     """
     if npoints < 1:
         raise ValidationError("quadrature needs npoints >= 1, got %r" % (npoints,))
@@ -69,5 +57,4 @@ def quadrature(alpha, npoints):
         raise NonConvergenceError(
             "Gauss-Jacobi node solve failed for alpha=%g, n=%d" % (alpha, npoints)
         )
-    return QuadratureRule(nodes=x, weights=w, alpha=float(alpha),
-                          degree_exact=2 * int(npoints) - 1)
+    return QuadratureRule(nodes=x, weights=w, alpha=float(alpha))

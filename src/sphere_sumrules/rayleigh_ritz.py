@@ -79,6 +79,16 @@ def _check_spd(matrix, what):
             "Cholesky factorization of the %s overlap failed" % (what,))
 
 
+def sigma_element(density, i, j):
+    """<i|sigma|j> = sum over the density's coefficients c of c W(i, j, c)."""
+    acc = 0.0
+    for cidx, c in density.entries:
+        w = harmonics.coupling_W(i, j, cidx)
+        if w:
+            acc += c * w
+    return acc
+
+
 def _assemble_full(d, ell_max, density):
     idx = truncated_basis(d, ell_max)
     n = len(idx)
@@ -91,11 +101,7 @@ def _assemble_full(d, ell_max, density):
             # every coupling, and so every later j, an exact zero
             if idx[j].ell - idx[i].ell > density.ell_max:
                 break
-            acc = 0.0
-            for cidx, c in entries:
-                w = harmonics.coupling_W(idx[i], idx[j], cidx)
-                if w:
-                    acc += c * w
+            acc = sigma_element(density, idx[i], idx[j])
             if acc:
                 overlap[i, j] += acc if complex_density else acc.real
                 overlap[j, i] = np.conj(overlap[i, j])

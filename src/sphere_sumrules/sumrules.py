@@ -9,8 +9,10 @@ are the renormalized power sums over the nonzero spectrum,
 obtained without ever diagonalizing anything.  Everything reduces to sums
 in harmonic coefficient space:
 
-* I-type integrals: finite sums over the density's coefficients against
-  iterated inverse-eigenvalue kernels (exact, no truncation);
+* I-type integrals: chains c^H G^(q1+1) B G^(q2+1) ... B G^(qk+1) c of
+  the density's coefficient vector c through its coupling matrix
+  B = 1 + sigma and the inverse Laplacian G = 1/lambda, on the block that
+  holds the zero mode (exact finite sums, no truncation);
 * J-type traces: an infinite degree sum handled by closed-form pair
   strengths S_L(l, l') plus Euler-Maclaurin tail acceleration, and (for
   densities with coupled degree triples) a banded triple trace;
@@ -257,19 +259,11 @@ def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
 
 
 # ----------------------------------------------------------------------
-# I-type integrals (exact finite sums)
+# I-type integrals: chains on the zero-mode coupling block
 
 
 def _lam(d, ell):
     return float(ell * (ell + d - 1))
-
-
-def _sigma_element(density, j, jp):
-    """<j|sigma|j'> = sum over coefficients of c_i W(j, i, j')."""
-    total = 0.0 + 0.0j
-    for idx, c in density.entries:
-        total += c * harmonics.coupling_W(j, idx, jp)
-    return total
 
 
 def _as_real(value, what):
@@ -279,66 +273,60 @@ def _as_real(value, what):
     return float(value.real)
 
 
-def _I1(q, density):
+def _green(lam):
+    """G = 1/lambda on the nonzero modes, 0 on the zero mode."""
+    g = np.zeros(len(lam))
+    g[lam > 0] = 1.0 / lam[lam > 0]
+    return g
+
+
+def _zero_mode_block(density, ell_cut):
+    """(B, G, c) on the block of degree <= ell_cut that holds the zero mode.
+
+    B = 1 + sigma is the density's overlap, G the inverse Laplacian and c
+    the density's coefficient vector on the same basis.  A zonal density
+    gives the variational problem's m2 = 0 block, built from the Jacobi
+    bands.  For any other density B holds only the rows and columns of the
+    full overlap at the density's own indices, every other entry zero.
+    That is all a chain with at most two B's reads: its first B acts on a
+    vector that lives on those indices, and its last B is read only there.
+    """
     d = density.d
-    return sum(abs(c) ** 2 / _lam(d, idx.ell) ** (q + 1)
-               for idx, c in density.entries)
-
-
-def _I2(q, p, density):
-    d = density.d
-    value = sum(abs(c) ** 2 / _lam(d, idx.ell) ** (q + p + 2)
-                for idx, c in density.entries) + 0.0j
-    for j, cj in density.entries:
-        for jp, cjp in density.entries:
-            elem = _sigma_element(density, j, jp)
-            if elem != 0:
-                value += (cj.conjugate() * cjp * elem
-                          / (_lam(d, j.ell) ** (q + 1)
-                             * _lam(d, jp.ell) ** (p + 1)))
-    return _as_real(value, "I2")
-
-
-def _internal_indices(density):
-    """Indices the coupling can reach from the support (degree <= 2 max)."""
-    d = density.d
-    out = []
-    for ell in range(1, 2 * density.ell_max + 1):
-        if density.is_zonal:
-            out.append(harmonics.HarmonicIndex(d, ell, (0,) * (d - 1)))
-        else:
-            out.extend(harmonics.HarmonicIndex(d, ell, m)
-                       for m in harmonics.enumerate_m(d, ell))
-    return out
-
-
-def _I3(q, p, r, density):
-    d = density.d
-    value = sum(abs(c) ** 2 / _lam(d, idx.ell) ** (q + p + r + 3)
-                for idx, c in density.entries) + 0.0j
-    for j, cj in density.entries:
-        for jp, cjp in density.entries:
-            elem = _sigma_element(density, j, jp)
-            if elem != 0:
-                lj, ljp = _lam(d, j.ell), _lam(d, jp.ell)
-                value += cj.conjugate() * cjp * elem * (
-                    1.0 / (lj ** (q + 1) * ljp ** (p + r + 2))
-                    + 1.0 / (lj ** (q + p + 2) * ljp ** (r + 1)))
-    internals = _internal_indices(density)
-    for mid in internals:
-        lmid = _lam(d, mid.ell)
-        left = {j: _sigma_element(density, j, mid) for j, _ in density.entries}
-        for j, cj in density.entries:
-            if left[j] == 0:
+    if density.is_zonal:
+        zc = density.zonal_coeffs()
+        block = rayleigh_ritz._zonal_block(d, ell_cut, zc, 0)
+        c = np.zeros(ell_cut + 1)
+        c[list(zc)] = list(zc.values())
+        return block.overlap, _green(block.stiffness), c
+    basis = rayleigh_ritz.truncated_basis(d, ell_cut)
+    pos = {idx: n for n, idx in enumerate(basis)}
+    B = np.zeros((len(basis), len(basis)), dtype=complex)
+    c = np.zeros(len(basis), dtype=complex)
+    done = set()
+    for idx, cj in density.entries:
+        s = pos[idx]
+        c[s] = cj
+        for n, other in enumerate(basis):
+            # rows already built, and pairs the triangle rule zeroes
+            if n in done or abs(other.ell - idx.ell) > density.ell_max:
                 continue
-            for jpp, cjpp in density.entries:
-                if left[jpp] == 0:
-                    continue
-                value += (cj.conjugate() * left[j] * left[jpp].conjugate()
-                          * cjpp / (_lam(d, j.ell) ** (q + 1)
-                                    * lmid ** (p + 1)
-                                    * _lam(d, jpp.ell) ** (r + 1)))
-    return _as_real(value, "I3")
+            i, j = min(s, n), max(s, n)
+            B[i, j] = (i == j) + rayleigh_ritz.sigma_element(
+                density, basis[i], basis[j])
+            B[j, i] = np.conj(B[i, j])
+        done.add(s)
+    lam = np.array([harmonics.eigenvalue(d, h.ell) for h in basis],
+                   dtype=float)
+    return B, _green(lam), c
+
+
+def _I(orders, block):
+    """c^H G^(q1+1) B G^(q2+1) ... B G^(qk+1) c for orders (q1, .., qk)."""
+    B, G, c = block
+    v = G ** (orders[-1] + 1) * c
+    for q in orders[-2::-1]:
+        v = G ** (q + 1) * (B @ v)
+    return _as_real(np.vdot(c, v), "I%d" % len(orders))
 
 
 # ----------------------------------------------------------------------
@@ -399,12 +387,10 @@ def density_integrals(kind, orders, density, ell_cut=None):
         raise CutoffTooSmallError(
             "ell_cut=%d is below the density's top degree %d + 1"
             % (ell_cut, density.ell_max))
-    if kind == "I1":
-        return {"value": _I1(orders[0], density), "trunc_error": 0.0}
-    if kind == "I2":
-        return {"value": _I2(*orders, density), "trunc_error": 0.0}
-    if kind == "I3":
-        return {"value": _I3(*orders, density), "trunc_error": 0.0}
+    if kind[0] == "I":
+        block = _zero_mode_block(
+            density, max(1, len(orders) - 1) * density.ell_max)
+        return {"value": _I(orders, block), "trunc_error": 0.0}
     if kind == "J1":
         value, err = _J1(*orders, density, switch)
     else:
@@ -420,13 +406,14 @@ def epsilon_closed(density):
     """(eps_1..eps_4) of E0(gamma) from the closed coefficient formulas."""
     _check_density(density)
     vol = harmonics.sphere_volume(density.d)
-    i10 = _I1(0, density)
-    i11 = _I1(1, density)
-    i12 = _I1(2, density)
-    i200 = _I2(0, 0, density)
-    i201 = _I2(0, 1, density)
-    i210 = _I2(1, 0, density)
-    i3000 = _I3(0, 0, 0, density)
+    block = _zero_mode_block(density, 2 * density.ell_max)
+    i10 = _I((0,), block)
+    i11 = _I((1,), block)
+    i12 = _I((2,), block)
+    i200 = _I((0, 0), block)
+    i201 = _I((0, 1), block)
+    i210 = _I((1, 0), block)
+    i3000 = _I((0, 0, 0), block)
     e2 = -i10 / vol
     e3 = i11 / vol + 2.0 * (i10 / vol) ** 2 - i200 / vol
     e4 = (-i12 / vol + (i201 + i210) / vol - 4.0 * i10 * i11 / vol ** 2
@@ -442,8 +429,11 @@ def epsilon_recursive(density, order, ell_cut=None):
     applies the density as its coupling matrix and the inverted Laplacian
     as 1/lambda on the nonzero modes, and projects on the zero mode.  The
     coupling matrix is the overlap of the variational problem's block that
-    holds the zero mode at row 0: the m2 = 0 block of a zonal density (the
-    only block built), the single full block otherwise.
+    holds the zero mode at row 0.  For a zonal density that is the m2 = 0
+    block (the only block built), the block the closed forms' I-terms read
+    too, so the two routes differ only in their algebra.  For any other
+    density it is the full assembly, not the cross-only block of the
+    I-terms, which keeps the recursion an independent check of that block.
     """
     _check_density(density)
     order = int(order)
@@ -465,9 +455,7 @@ def epsilon_recursive(density, order, ell_cut=None):
                                            density.zonal_coeffs(), 0)
     else:
         block = rayleigh_ritz.assemble(density.d, ell_cut, density).blocks[0]
-    B, lam = block.overlap, block.stiffness
-    ginv = np.zeros(len(lam))
-    ginv[lam > 0] = 1.0 / lam[lam > 0]
+    B, ginv = block.overlap, _green(block.stiffness)
     b00 = B[0, 0].real
     psi = [np.zeros(B.shape[0], dtype=B.dtype)]
     psi[0][0] = 1.0
@@ -506,14 +494,15 @@ def sum_rule(d, p, density, ell_cut=None):
                               % (density.d, d))
     switch = max(DEFAULT_ELL_CUT, ell_cut or 0, density.ell_max + 1)
     vol = harmonics.sphere_volume(d)
-    i10 = _I1(0, density)
-    i200 = _I2(0, 0, density)
+    block = _zero_mode_block(density, (int(p) - 1) * density.ell_max)
+    i10 = _I((0,), block)
+    i200 = _I((0, 0), block)
     if p == 2:
         jval, jerr = _J1(0, 0, density, switch)
         value = jval + (i10 / vol) ** 2 - 2.0 * i200 / vol
     else:
         jval, jerr = _J2(0, 0, 0, density, switch)
-        i3000 = _I3(0, 0, 0, density)
+        i3000 = _I((0, 0, 0), block)
         value = (jval - (i10 / vol) ** 3 + 3.0 * i10 * i200 / vol ** 2
                  - 3.0 * i3000 / vol)
     return SumRuleResult(d=d, p=int(p), value=value, trunc_error=jerr,

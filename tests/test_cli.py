@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -333,6 +334,33 @@ def test_validate_full_suite(capsys):
     code, out, _ = run_cli(capsys, ["validate"])
     assert code == 0
     assert ", 0 failed" in out.strip().splitlines()[-1]
+
+
+# ----------------------------------------------------------------------
+# golden output
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    ("exact --d 3 --p 3 --kappa 0:2:0.5", "exact_d3_p3_kappa.csv"),
+    ("exact --d 5 --p 3 --kappa 0:1.5:0.5", "exact_d5_p3_kappa.csv"),
+    ("exact --d 3 --p 2 --coeffs zonal_d3.json", "exact_d3_p2_zonal.csv"),
+    ("exact --d 3 --p 2 --coeffs nonzonal_d3.json",
+     "exact_d3_p2_nonzonal.csv"),
+    ("hybrid --d 3 --p 3 --kappa 0:2:0.5 --lmax 30", "hybrid_d3_p3_kappa.csv"),
+])
+def test_default_output_matches_golden_file(capsys, argv, golden):
+    """Default CSV output, byte for byte.
+
+    A change that moves a printed digit must rewrite the golden file with
+    the CLI's new output, so its diff shows the move.
+    """
+    argv = [str(DATA / a) if a.endswith(".json") else a
+            for a in argv.split()]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
 
 
 # ----------------------------------------------------------------------
