@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import special
+from scipy import sparse, special
 
 from . import harmonics, rayleigh_ritz, tails
 from .density import DensitySpec, kappa_bound
@@ -286,8 +286,8 @@ def _zero_mode_block(density, ell_cut):
     B = 1 + sigma is the density's overlap, G the inverse Laplacian and c
     the density's coefficient vector on the same basis.  A zonal density
     gives the variational problem's m2 = 0 block, built from the Jacobi
-    bands.  For any other density B holds only the rows and columns of the
-    full overlap at the density's own indices, every other entry zero.
+    bands.  For any other density B is a sparse matrix holding only the
+    rows and columns of the full overlap at the density's own indices.
     That is all a chain with at most two B's reads: its first B acts on a
     vector that lives on those indices, and its last B is read only there.
     """
@@ -300,8 +300,8 @@ def _zero_mode_block(density, ell_cut):
         return block.overlap, _green(block.stiffness), c
     basis = rayleigh_ritz.truncated_basis(d, ell_cut)
     pos = {idx: n for n, idx in enumerate(basis)}
-    B = np.zeros((len(basis), len(basis)), dtype=complex)
     c = np.zeros(len(basis), dtype=complex)
+    nonzero = []
     done = set()
     for idx, cj in density.entries:
         s = pos[idx]
@@ -311,17 +311,25 @@ def _zero_mode_block(density, ell_cut):
             if n in done or abs(other.ell - idx.ell) > density.ell_max:
                 continue
             i, j = min(s, n), max(s, n)
-            B[i, j] = (i == j) + rayleigh_ritz.sigma_element(
-                density, basis[i], basis[j])
-            B[j, i] = np.conj(B[i, j])
+            b = (i == j) + rayleigh_ritz.sigma_element(density, basis[i],
+                                                       basis[j])
+            if b:
+                nonzero.append((i, j, b))
         done.add(s)
+    rows, cols, vals = zip(*nonzero)
+    upper = sparse.csr_matrix((vals, (rows, cols)), shape=(len(basis),) * 2)
     lam = np.array([harmonics.eigenvalue(d, h.ell) for h in basis],
                    dtype=float)
-    return B, _green(lam), c
+    return upper + sparse.triu(upper, 1).conj().T, _green(lam), c
 
 
 def _I(orders, block):
     """c^H G^(q1+1) B G^(q2+1) ... B G^(qk+1) c for orders (q1, .., qk)."""
+    if len(orders) > 3:
+        # a third B would read entries the non-zonal block leaves out
+        raise UnsupportedOrderError(
+            "I-chains are supported through two B's, got orders %r"
+            % (orders,))
     B, G, c = block
     v = G ** (orders[-1] + 1) * c
     for q in orders[-2::-1]:

@@ -18,10 +18,11 @@ reads the full assembly.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from sphere_sumrules import rayleigh_ritz
 from sphere_sumrules.density import DensitySpec
+from sphere_sumrules.errors import UnsupportedOrderError
 from sphere_sumrules.harmonics import (HarmonicIndex, coupling_W, degeneracy,
                                        enumerate_m, sphere_volume)
 from sphere_sumrules.sumrules import (_I, _green, _zero_mode_block,
@@ -138,22 +139,47 @@ def test_non_zonal_integrals_match_loop_formulas(den, data):
     _check_against_loops(den, _draw_orders(data))
 
 
-@given(den=non_zonal_densities(), data=st.data())
-def test_cross_block_chains_match_full_overlap(den, data):
-    """Chains of at most two B's never read the entries the cross-only
-    block leaves at zero (full assembly kept to small bases)."""
+def _check_cross_against_full(den, orders):
     cut = 2 * den.ell_max
-    if rayleigh_ritz.basis_size(den.d, cut) > 110:
-        return
     block = rayleigh_ritz.assemble(den.d, cut, den, mode="full").blocks[0]
     basis = rayleigh_ritz.truncated_basis(den.d, cut)
     coeffs = dict(den.entries)
     c = np.array([coeffs.get(idx, 0.0) for idx in basis], dtype=complex)
     full = (block.overlap, _green(block.stiffness), c)
     cross = _zero_mode_block(den, cut)
-    for kind, o in _draw_orders(data).items():
+    for kind, o in orders.items():
         assert _I(o, cross) == pytest.approx(_I(o, full), rel=1e-13,
                                              abs=1e-17), "%s%r" % (kind, o)
+
+
+@given(den=non_zonal_densities(), data=st.data())
+def test_cross_block_chains_match_full_overlap(den, data):
+    """Chains of at most two B's never read the entries the cross-only
+    block leaves at zero (full assembly kept to small bases)."""
+    assume(rayleigh_ritz.basis_size(den.d, 2 * den.ell_max) <= 110)
+    _check_cross_against_full(den, _draw_orders(data))
+
+
+def test_cross_block_chains_match_full_overlap_at_d5():
+    den = _seeded_non_zonal(5, (2,), seed=4, picks=1)
+    assert rayleigh_ritz.basis_size(5, 2 * den.ell_max) == 182
+    _check_cross_against_full(den, {
+        "I1": (2,), "I2": (0, 1), "I3": (1, 0, 2)})
+
+
+def test_cross_block_stores_only_support_rows_and_columns():
+    """A degree-6 density on S^5 couples into 10556 harmonics at 2 ell_max;
+    the block keeps its support's rows and columns, not a dense square."""
+    den = DensitySpec.from_coeffs(5, {HarmonicIndex(5, 6, (2, 1, 1, 0)): 0.03})
+    B, G, c = _zero_mode_block(den, 12)
+    n = rayleigh_ritz.basis_size(5, 12)
+    assert B.shape == (n, n) == (10556, 10556)
+    support = set(np.flatnonzero(c))
+    rows, cols = B.nonzero()
+    assert all(i in support or j in support for i, j in zip(rows, cols))
+    assert B.nnz <= 2 * len(support) * n
+    with pytest.raises(UnsupportedOrderError):
+        _I((0, 0, 0, 0), (B, G, c))
 
 
 # ----------------------------------------------------------------------
