@@ -259,12 +259,49 @@ def addition_eval(d, ell, cosgamma):
 # generic triple-product coupling
 
 
-def _selection_ok(i1, i2, i3):
-    if i1.m_d != i2.m_d + i3.m_d:
-        return False
-    if not abs(i1.ell - i2.ell) <= i3.ell <= i1.ell + i2.ell:
-        return False
-    return (i1.ell + i2.ell + i3.ell) % 2 == 0
+def _selection_mask(ell1, md1, ell2, md2, i3):
+    """Whether W(i1, i2, i3) passes the azimuthal, triangle and parity rules,
+    from the first two slots' ell and m_d (integers or integer arrays)."""
+    return ((md1 == md2 + i3.m_d)
+            & (np.abs(ell1 - ell2) <= i3.ell) & (i3.ell <= ell1 + ell2)
+            & ((ell1 + ell2 + i3.ell) % 2 == 0))
+
+
+def _index_data(idx):
+    """(phase, log N, per-level data) of one index: all a coupling reads."""
+    return _phase(idx), _log_norm(idx), tuple(_levels(idx))
+
+
+def _level_integral(d, k, levels):
+    """Gauss-Jacobi integral of the three level-k Gegenbauer factors
+    (n_k, lambda_k, sine exponent), k counted from 0, against their
+    combined sine weight."""
+    sin_pow = sum(lv[2] for lv in levels)
+    weight_exp = (sin_pow + d - k - 2) / 2.0
+    rule = quadrature(weight_exp, sum(lv[0] for lv in levels) // 2 + 4)
+    integrand = np.ones_like(rule.nodes)
+    for n_k, lam_k, _ in levels:
+        integrand = integrand * gegenbauer(lam_k, n_k, rule.nodes)
+    return rule.integrate(integrand)
+
+
+def _coupling(data, integrals):
+    """W from the three slots' `_index_data`, selection rules assumed.
+
+    The integral factorizes into d-1 one-dimensional Gauss-Jacobi
+    quadratures, exact for the polynomial part.  integrals maps
+    (k, level-k data of the three slots) to that level's integral; callers
+    evaluating many couplings share one dict, so each distinct level
+    integral is taken once.
+    """
+    (p1, n1, lv1), (p2, n2, lv2), (p3, n3, lv3) = data
+    value = p1 * p2 * p3 * math.exp(n1 + n2 + n3) * 2.0 * math.pi
+    d = len(lv1) + 1
+    for key in enumerate(zip(lv1, lv2, lv3)):
+        if key not in integrals:
+            integrals[key] = _level_integral(d, *key)
+        value *= integrals[key]
+    return value
 
 
 def coupling_W(i1, i2, i3):
@@ -278,23 +315,9 @@ def coupling_W(i1, i2, i3):
     if not (i1.d == i2.d == i3.d):
         raise ValidationError("coupling of mixed dimensions: %d/%d/%d"
                               % (i1.d, i2.d, i3.d))
-    if not _selection_ok(i1, i2, i3):
+    if not _selection_mask(i1.ell, i1.m_d, i2.ell, i2.m_d, i3):
         return 0.0
-    d = i1.d
-    value = (_phase(i1) * _phase(i2) * _phase(i3)
-             * math.exp(_log_norm(i1) + _log_norm(i2) + _log_norm(i3))
-             * 2.0 * math.pi)
-    levels = [_levels(i) for i in (i1, i2, i3)]
-    for k in range(d - 1):
-        degs = [levels[j][k][0] for j in range(3)]
-        sin_pow = sum(levels[j][k][2] for j in range(3))
-        weight_exp = (sin_pow + d - k - 2) / 2.0
-        rule = quadrature(weight_exp, sum(degs) // 2 + 4)
-        integrand = np.ones_like(rule.nodes)
-        for j in range(3):
-            integrand = integrand * gegenbauer(levels[j][k][1], degs[j], rule.nodes)
-        value *= rule.integrate(integrand)
-    return value
+    return _coupling([_index_data(i) for i in (i1, i2, i3)], {})
 
 
 # ----------------------------------------------------------------------

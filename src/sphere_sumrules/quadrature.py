@@ -32,8 +32,15 @@ class QuadratureRule:
 
 @lru_cache(maxsize=4096)
 def _cached_rule(alpha, npoints):
+    """Nodes and weights, checked once per rule.  A failed check raises and
+    is not cached, so every lookup of a bad rule raises again."""
     x, w = roots_jacobi(npoints, alpha, alpha)
-    return np.asarray(x), np.asarray(w)
+    x, w = np.asarray(x), np.asarray(w)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w)) and np.all(w > 0)):
+        raise NonConvergenceError(
+            "Gauss-Jacobi node solve failed for alpha=%g, n=%d" % (alpha, npoints)
+        )
+    return x, w
 
 
 def quadrature(alpha, npoints):
@@ -53,8 +60,4 @@ def quadrature(alpha, npoints):
     if not alpha > -1:
         raise ValidationError("Jacobi exponent must exceed -1, got %r" % (alpha,))
     x, w = _cached_rule(float(alpha), int(npoints))
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w)) and np.all(w > 0)):
-        raise NonConvergenceError(
-            "Gauss-Jacobi node solve failed for alpha=%g, n=%d" % (alpha, npoints)
-        )
     return QuadratureRule(nodes=x, weights=w, alpha=float(alpha))

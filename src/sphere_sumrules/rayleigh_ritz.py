@@ -79,32 +79,52 @@ def _check_spd(matrix, what):
             "Cholesky factorization of the %s overlap failed" % (what,))
 
 
-def sigma_element(density, i, j):
-    """<i|sigma|j> = sum over the density's coefficients c of c W(i, j, c)."""
-    acc = 0.0
+def sigma_pairs(density, basis, I, J):
+    """<basis[i]|sigma|basis[j]> for every pair (i, j) = (I[k], J[k]).
+
+    Each value is the sum over the density's coefficients c of
+    c W(basis[i], basis[j], c), accumulated in entry order, as a complex
+    array aligned with I and J.  The azimuthal, triangle and parity rules
+    are applied to the pairs' (ell, m_d) arrays once per coefficient, before
+    any coupling is evaluated; each basis index's normalization and level
+    data are taken once, and each distinct level integral once per call.
+    """
+    I, J = np.asarray(I), np.asarray(J)
+    ell = np.array([h.ell for h in basis])
+    md = np.array([h.m_d for h in basis])
+    ell_i, md_i, ell_j, md_j = ell[I], md[I], ell[J], md[J]
+    data = {}
+    integrals = {}
+    acc = [0.0] * len(I)
     for cidx, c in density.entries:
-        w = harmonics.coupling_W(i, j, cidx)
-        if w:
-            acc += c * w
-    return acc
+        cdata = harmonics._index_data(cidx)
+        hits = np.flatnonzero(harmonics._selection_mask(
+            ell_i, md_i, ell_j, md_j, cidx))
+        for k, i, j in zip(hits.tolist(), I[hits].tolist(), J[hits].tolist()):
+            for n in (i, j):
+                if n not in data:
+                    data[n] = harmonics._index_data(basis[n])
+            w = harmonics._coupling((data[i], data[j], cdata), integrals)
+            if w:
+                acc[k] += c * w
+    return np.array(acc, dtype=complex)
 
 
 def _assemble_full(d, ell_max, density):
     idx = truncated_basis(d, ell_max)
     n = len(idx)
-    entries = density.entries
-    complex_density = any(abs(complex(c).imag) > 0 for _, c in entries)
+    complex_density = any(abs(complex(c).imag) > 0 for _, c in density.entries)
+    ell = np.array([h.ell for h in idx])
+    # pairs i <= j; past the density's top degree the triangle rule makes
+    # every coupling an exact zero
+    I, J = np.nonzero(np.triu(ell[None, :] - ell[:, None] <= density.ell_max))
+    sigma = sigma_pairs(density, idx, I, J)
+    # only nonzero elements are written, so untouched zeros keep their sign
+    hit = sigma != 0
+    I, J, sigma = I[hit], J[hit], sigma[hit]
     overlap = np.eye(n, dtype=complex if complex_density else float)
-    for i in range(n):
-        for j in range(i, n):
-            # degree-ordered basis: past this gap the triangle rule makes
-            # every coupling, and so every later j, an exact zero
-            if idx[j].ell - idx[i].ell > density.ell_max:
-                break
-            acc = sigma_element(density, idx[i], idx[j])
-            if acc:
-                overlap[i, j] += acc if complex_density else acc.real
-                overlap[j, i] = np.conj(overlap[i, j])
+    overlap[I, J] += sigma if complex_density else sigma.real
+    overlap[J, I] = np.conj(overlap[I, J])
     _check_spd(overlap, "full")
     stiffness = np.array([harmonics.eigenvalue(d, h.ell) for h in idx],
                          dtype=float)

@@ -300,24 +300,23 @@ def _zero_mode_block(density, ell_cut):
         return block.overlap, _green(block.stiffness), c
     basis = rayleigh_ritz.truncated_basis(d, ell_cut)
     pos = {idx: n for n, idx in enumerate(basis)}
+    support = np.array([pos[idx] for idx, _ in density.entries])
     c = np.zeros(len(basis), dtype=complex)
-    nonzero = []
-    done = set()
-    for idx, cj in density.entries:
-        s = pos[idx]
-        c[s] = cj
-        for n, other in enumerate(basis):
-            # rows already built, and pairs the triangle rule zeroes
-            if n in done or abs(other.ell - idx.ell) > density.ell_max:
-                continue
-            i, j = min(s, n), max(s, n)
-            b = (i == j) + rayleigh_ritz.sigma_element(density, basis[i],
-                                                       basis[j])
-            if b:
-                nonzero.append((i, j, b))
-        done.add(s)
-    rows, cols, vals = zip(*nonzero)
-    upper = sparse.csr_matrix((vals, (rows, cols)), shape=(len(basis),) * 2)
+    c[support] = [cj for _, cj in density.entries]
+    ell = np.array([h.ell for h in basis])
+    # pairs (support index, any index) within the triangle rule's degree
+    # gap; a pair of two support indices is kept once, in the row of the
+    # smaller one
+    rows, other = np.nonzero(
+        np.abs(ell[None, :] - ell[support][:, None]) <= density.ell_max)
+    s = support[rows]
+    keep = ~(np.isin(other, support) & (other < s))
+    I = np.minimum(s, other)[keep]
+    J = np.maximum(s, other)[keep]
+    b = (I == J) + rayleigh_ritz.sigma_pairs(density, basis, I, J)
+    hit = b != 0
+    upper = sparse.csr_matrix((b[hit], (I[hit], J[hit])),
+                              shape=(len(basis),) * 2)
     lam = np.array([harmonics.eigenvalue(d, h.ell) for h in basis],
                    dtype=float)
     return upper + sparse.triu(upper, 1).conj().T, _green(lam), c
@@ -442,6 +441,11 @@ def epsilon_recursive(density, order, ell_cut=None):
     too, so the two routes differ only in their algebra.  For any other
     density it is the full assembly, not the cross-only block of the
     I-terms, which keeps the recursion an independent check of that block.
+
+    ell_cut defaults to order * max(1, ell_max), the smallest cutoff
+    accepted: the order-k correction has degree at most k * ell_max, so
+    every correction the recursion forms is exact there and a larger
+    cutoff only adds work.
     """
     _check_density(density)
     order = int(order)
@@ -453,7 +457,7 @@ def epsilon_recursive(density, order, ell_cut=None):
             % order)
     needed = order * max(1, density.ell_max)
     if ell_cut is None:
-        ell_cut = needed + 2
+        ell_cut = needed
     elif ell_cut < needed:
         raise CutoffTooSmallError(
             "ell_cut=%d cannot hold order-%d corrections (need >= %d)"

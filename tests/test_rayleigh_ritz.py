@@ -11,11 +11,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from sphere_sumrules import rayleigh_ritz as rr
-from sphere_sumrules.density import DensitySpec
+from sphere_sumrules.density import DensitySpec, kappa_bound
 from sphere_sumrules.errors import ValidationError
 from sphere_sumrules.harmonics import HarmonicIndex, coupling_W
+
+from test_density import _rotated_tilt
 
 
 def test_basis_size_reference_counts():
@@ -113,16 +116,23 @@ def test_small_tilt_is_perturbative():
     assert abs(first - 3.0) < 5 * 0.01 ** 2
 
 
-def test_rotated_tilt_has_identical_spectrum():
-    # the spectrum is rotation invariant: a degree-1 density pointing off
-    # the pole must reproduce the polar tilt spectrum (via the full route)
-    c = 1.0 / math.sqrt(2.0)
-    den_rot = DensitySpec.from_coeffs(3, {
-        HarmonicIndex(3, 1, (1, 1)): c * np.exp(0.6j),
-        HarmonicIndex(3, 1, (1, -1)): -c * np.exp(-0.6j)})
-    sr = rr.solve_spectrum(rr.assemble(3, 4, den_rot))
-    st = rr.solve_spectrum(rr.assemble(3, 4, DensitySpec.tilted(3, 1.0)))
-    assert np.max(np.abs(sr.expand() - st.expand())) < 1e-9
+@given(d=st.integers(3, 5), ell_max=st.integers(1, 3),
+       frac=st.floats(0.1, 0.9), axis=st.lists(
+           st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_rotated_tilt_has_identical_spectrum(d, ell_max, frac, axis):
+    # the spectrum is rotation invariant: a tilt about a random axis must
+    # reproduce the polar tilt's zonal-block spectrum via the full route
+    axis = np.array(axis[:d + 1])
+    assume(np.linalg.norm(axis) > 0.1)
+    kappa = frac * kappa_bound(d)
+    den_rot = DensitySpec.from_coeffs(
+        d, _rotated_tilt(d, kappa, axis / np.linalg.norm(axis)))
+    rotated = rr.assemble(d, ell_max, den_rot, mode="full")
+    polar = rr.assemble(d, ell_max, DensitySpec.tilted(d, kappa),
+                        mode="zonal_blocks")
+    np.testing.assert_allclose(rr.solve_spectrum(rotated).expand(),
+                               rr.solve_spectrum(polar).expand(),
+                               rtol=1e-10, atol=1e-10)
 
 
 def test_non_zonal_density_refused_by_zonal_mode():

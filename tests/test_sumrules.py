@@ -246,6 +246,25 @@ def test_epsilon_on_zonal_density_builds_only_the_zero_mode_block():
     assert build.call_args.args[3] == 0
 
 
+@pytest.mark.parametrize("den", [
+    DensitySpec.zonal(3, {1: 0.3, 2: 0.2, 3: 0.1}),
+    DensitySpec.from_coeffs(3, {HarmonicIndex(3, 1, (1, 1)): 0.25 + 0.1j,
+                                HarmonicIndex(3, 1, (1, -1)): -0.25 + 0.1j,
+                                HarmonicIndex(3, 2, (0, 0)): 0.1})],
+    ids=["zonal", "non-zonal"])
+def test_epsilon_default_cutoff_is_the_smallest_accepted(den):
+    build = "_zonal_block" if den.is_zonal else "assemble"
+    for k in (1, 2, 3, 4):
+        smallest = k * den.ell_max
+        with mock.patch.object(rayleigh_ritz, build,
+                               wraps=getattr(rayleigh_ritz, build)) as spy:
+            got = epsilon_recursive(den, k)
+        assert spy.call_args.args[1] == smallest
+        assert got == epsilon_recursive(den, k, ell_cut=smallest)
+        with pytest.raises(CutoffTooSmallError):
+            epsilon_recursive(den, k, ell_cut=smallest - 1)
+
+
 def test_epsilon_first_orders_analytic():
     # eps_1 = 1 and eps_2 = -I1(0)/Vol for any density
     den = DensitySpec.tilted(3, 1.2)
