@@ -72,11 +72,26 @@ def degeneracy(d, ell):
 def log_degeneracy(d, ell):
     """log of the degeneracy, valid for continuous ell > 0 (tail analysis)."""
     ell = np.asarray(ell, dtype=float)
-    return (np.log(2 * ell + d - 1)
-            + _lgamma(ell + d - 1) - _lgamma(ell + 1) - math.lgamma(d))
+    return _log_degeneracy(d, ell, *_lgamma(np.stack([ell + d - 1, ell + 1])))
 
 
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
+def _log_degeneracy(d, ell, lg_top, lg_ell):
+    """log_degeneracy from lgamma(ell + d - 1) and lgamma(ell + 1)."""
+    return np.log(2 * ell + d - 1) + lg_top - lg_ell - math.lgamma(d)
+
+
+def _lgamma(x):
+    """math.lgamma elementwise, called once per distinct value of x.
+
+    Degree grids repeat most of their arguments, so gathering from the
+    distinct values costs far less than a call per element; the values are
+    math.lgamma's own.
+    """
+    x = np.asarray(x, dtype=float)
+    distinct, inverse = np.unique(x, return_inverse=True)
+    values = np.fromiter(map(math.lgamma, distinct), dtype=float,
+                         count=distinct.size)
+    return values[inverse.ravel()].reshape(x.shape)
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +131,13 @@ def gegenbauer_all(alpha, nmax, x):
 def log_gegenbauer_at_one(alpha, n):
     """log C_n^alpha(1) = log [Gamma(n+2a) / (n! Gamma(2a))], continuous n."""
     n = np.asarray(n, dtype=float)
-    return _lgamma(n + 2 * alpha) - _lgamma(n + 1) - math.lgamma(2 * alpha)
+    return _log_gegenbauer_at_one(alpha,
+                                  *_lgamma(np.stack([n + 2 * alpha, n + 1])))
+
+
+def _log_gegenbauer_at_one(alpha, lg_top, lg_n):
+    """log_gegenbauer_at_one from lgamma(n + 2 alpha) and lgamma(n + 1)."""
+    return lg_top - lg_n - math.lgamma(2 * alpha)
 
 
 def gegenbauer_at_one(alpha, n):
@@ -432,17 +453,27 @@ def _pair_strength_raw(d, L, l, lp):
     lp = np.asarray(lp, dtype=float)
     k = (l + lp - L) / 2.0
     sigma = (l + lp + L) / 2.0
+    # every log-gamma argument of the formula, the degeneracies' and the
+    # Gegenbauer norms' included, in one pass: the grid's rows share most
+    # of their values
+    args = np.broadcast_arrays(
+        k + 1, l - k + 1, lp - k + 1, alpha + k, alpha + l - k,
+        alpha + lp - k, 2 * alpha + sigma, alpha + sigma,
+        l + d - 1, l + 1, lp + d - 1, lp + 1, l + 2 * alpha, lp + 2 * alpha)
+    (g_k, g_lk, g_lpk, g_ak, g_alk, g_alpk, g_as2, g_as,
+     g_dl, g_l, g_dlp, g_lp, g_cl, g_clp) = _lgamma(np.stack(args))
     log_a = (np.log(L + alpha) - np.log(sigma + alpha) + math.lgamma(L + 1)
-             - _lgamma(k + 1) - _lgamma(l - k + 1) - _lgamma(lp - k + 1)
-             + _lgamma(alpha + k) + _lgamma(alpha + l - k)
-             + _lgamma(alpha + lp - k) - 2.0 * math.lgamma(alpha)
-             + _lgamma(2 * alpha + sigma) - _lgamma(alpha + sigma)
+             - g_k - g_lk - g_lpk + g_ak + g_alk + g_alpk
+             - 2.0 * math.lgamma(alpha) + g_as2 - g_as
              - math.lgamma(2 * alpha + L))
-    log_s = (log_degeneracy(d, l) + log_degeneracy(d, lp)
+    log_s = (_log_degeneracy(d, l, g_dl, g_l)
+             + _log_degeneracy(d, lp, g_dlp, g_lp)
              - math.log(sphere_volume(d))
-             + log_gegenbauer_at_one(alpha, L) - math.log(degeneracy(d, L))
-             + log_a - log_gegenbauer_at_one(alpha, l)
-             - log_gegenbauer_at_one(alpha, lp))
+             + _log_gegenbauer_at_one(alpha, math.lgamma(L + 2 * alpha),
+                                      math.lgamma(L + 1))
+             - math.log(degeneracy(d, L))
+             + log_a - _log_gegenbauer_at_one(alpha, g_cl, g_l)
+             - _log_gegenbauer_at_one(alpha, g_clp, g_lp))
     return np.exp(log_s)
 
 

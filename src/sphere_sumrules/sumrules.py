@@ -28,6 +28,8 @@ from the same tail-accelerated traces.
 
 from dataclasses import dataclass
 import math
+import numbers
+import sys
 
 import numpy as np
 from scipy import sparse, special
@@ -63,6 +65,44 @@ def _check_density(density):
 def _check_dimension(d):
     if d not in (2, 3, 4, 5):
         raise ValidationError("sphere dimension must be 2..5, got %r" % (d,))
+
+
+def _check_ell_cut(ell_cut):
+    """The cutoff as an int, None kept: a degree sum has an integral cut."""
+    if ell_cut is None:
+        return None
+    if isinstance(ell_cut, numbers.Integral):
+        integral = not isinstance(ell_cut, bool)
+    else:
+        integral = (isinstance(ell_cut, numbers.Real)
+                    and math.isfinite(ell_cut)
+                    and float(ell_cut).is_integer())
+    if not integral or ell_cut < 0:
+        raise ValidationError("ell_cut must be a non-negative integer, got %r"
+                              % (ell_cut,))
+    return int(ell_cut)
+
+
+def _check_gamma(gamma):
+    """The shift as a float: positive, finite, and with a cube and inverse
+    cube (the highest powers the shifted rule forms) that neither overflow
+    nor underflow."""
+    try:
+        gamma = float(gamma)
+    except (TypeError, ValueError):
+        raise ValidationError("shift gamma must be a number, got %r"
+                              % (gamma,)) from None
+    if not 0.0 < gamma < math.inf:
+        raise ValidationError("shift gamma must be finite and > 0, got %r"
+                              % (gamma,))
+    try:
+        smallest = min(gamma ** 3, gamma ** -3)
+    except OverflowError:
+        smallest = 0.0
+    if smallest < sys.float_info.min:
+        raise ValidationError("shift gamma=%r is out of range: its powers "
+                              "over- or underflow" % (gamma,))
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -361,10 +401,15 @@ def _J2(q, p, r, density, switch):
         raise DivergentSumError(
             "divergent trace J2(%d,%d,%d) for d=%d" % (q, p, r, d))
     value, err = _spectral_trace(d, s, 0.0, switch)
+    # the three insertions share their band sums when orders coincide
+    # (all three at J2(0, 0, 0)); each distinct one is taken once
+    bands = {}
     for L, rho in sorted(density.rho_by_degree().items()):
         for aa, bb in ((q + 1, p + r + 2), (p + 1, q + r + 2),
                        (r + 1, p + q + 2)):
-            bval, berr = _band_sum(d, L, aa, bb, 0.0, switch)
+            if (L, aa, bb) not in bands:
+                bands[L, aa, bb] = _band_sum(d, L, aa, bb, 0.0, switch)
+            bval, berr = bands[L, aa, bb]
             value += rho * bval
             err += rho * berr
     cval, cerr = _cubic_trace(density, (q, p, r), gamma=None, lcut=switch)
@@ -389,6 +434,7 @@ def density_integrals(kind, orders, density, ell_cut=None):
         raise ValidationError("kernel orders must be >= 0, got %r" % (orders,))
     _check_density(density)
     _check_dimension(density.d)
+    ell_cut = _check_ell_cut(ell_cut)
     switch = max(DEFAULT_ELL_CUT, ell_cut or 0)
     if ell_cut is not None and ell_cut < density.ell_max + 1:
         raise CutoffTooSmallError(
@@ -455,6 +501,7 @@ def epsilon_recursive(density, order, ell_cut=None):
         raise UnsupportedOrderError(
             "zero-mode coefficients are supported through order 6, got %d"
             % order)
+    ell_cut = _check_ell_cut(ell_cut)
     needed = order * max(1, density.ell_max)
     if ell_cut is None:
         ell_cut = needed
@@ -504,6 +551,7 @@ def sum_rule(d, p, density, ell_cut=None):
     if density.d != d:
         raise ValidationError("density has d=%d, asked for d=%d"
                               % (density.d, d))
+    ell_cut = _check_ell_cut(ell_cut)
     switch = max(DEFAULT_ELL_CUT, ell_cut or 0, density.ell_max + 1)
     vol = harmonics.sphere_volume(d)
     block = _zero_mode_block(density, (int(p) - 1) * density.ell_max)
@@ -557,6 +605,17 @@ def closed_form_reference(d, p, kappa):
 # shifted diagnostic
 
 
+def _renorm_lead(p, eps, gamma):
+    """gamma^-p - 1/E0(gamma)^p for E0 = gamma (1 + x), regrouped so that
+    the leading 1/gamma^p pieces cancel analytically rather than in
+    floating point."""
+    x = eps[1] * gamma + eps[2] * gamma ** 2 + eps[3] * gamma ** 3
+    if p == 2:
+        return (2.0 * x + x * x) / (gamma ** 2 * (1.0 + x) ** 2)
+    return ((3.0 * x + 3.0 * x * x + x ** 3)
+            / (gamma ** 3 * (1.0 + x) ** 3))
+
+
 def sum_rule_shifted(d, p, density, gamma, ell_cut=None):
     """Z_p(gamma) and its renormalization against the zero-mode energy.
 
@@ -571,13 +630,17 @@ def sum_rule_shifted(d, p, density, gamma, ell_cut=None):
     if density.d != d:
         raise ValidationError("density has d=%d, asked for d=%d"
                               % (density.d, d))
-    gamma = float(gamma)
-    if not gamma > 0.0:
-        raise ValidationError("shift gamma must be > 0, got %r" % (gamma,))
+    gamma = _check_gamma(gamma)
+    ell_cut = _check_ell_cut(ell_cut)
     switch = max(DEFAULT_ELL_CUT, ell_cut or 0, density.ell_max + 1)
     vol = harmonics.sphere_volume(d)
     eps = epsilon_closed(density).eps
-    x = eps[1] * gamma + eps[2] * gamma ** 2 + eps[3] * gamma ** 3
+    try:
+        lead = _renorm_lead(p, eps, gamma)
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(
+            "shift gamma=%r is out of range: the zero-mode energy's Taylor "
+            "polynomial overflows" % (gamma,)) from None
     trace, _ = _spectral_trace(d, p, gamma, switch)
     finite = trace
     if p == 2:
@@ -585,7 +648,6 @@ def sum_rule_shifted(d, p, density, gamma, ell_cut=None):
             dl = 1.0 / (_lam(d, L) + gamma)
             finite += rho * (2.0 / (gamma * vol) * dl
                              + _band_sum(d, L, 1, 1, gamma, switch)[0])
-        lead = (2.0 * x + x * x) / (gamma ** 2 * (1.0 + x) ** 2)
     else:
         for L, rho in sorted(density.rho_by_degree().items()):
             dl = 1.0 / (_lam(d, L) + gamma)
@@ -594,6 +656,4 @@ def sum_rule_shifted(d, p, density, gamma, ell_cut=None):
         if _coupled_triples(density):
             finite += _cubic_trace(density, (0, 0, 0), gamma=gamma,
                                    lcut=switch)[0]
-        lead = ((3.0 * x + 3.0 * x * x + x ** 3)
-                / (gamma ** 3 * (1.0 + x) ** 3))
     return {"Z": gamma ** -p + finite, "Z_renorm": lead + finite}

@@ -95,6 +95,14 @@ def test_exact_kappa_bound_exits_one(capsys):
     assert "positivity bound" in err
 
 
+def test_exact_negative_cutoff_exits_one(capsys):
+    code, out, err = run_cli(capsys, ["exact", "--d", "3", "--p", "2",
+                                      "--kappa", "1", "--ell-cut", "-5"])
+    assert code == 1
+    assert "ell_cut must be a non-negative integer" in err
+    assert out == ""
+
+
 def test_exact_json_shape(capsys):
     code, out, _ = run_cli(capsys, ["exact", "--d", "3", "--p", "2",
                                     "--kappa", "1", "--format", "json"])

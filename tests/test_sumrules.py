@@ -405,3 +405,35 @@ def test_shifted_requires_positive_gamma():
         sum_rule_shifted(3, 2, den, 0.0)
     with pytest.raises(ValidationError):
         sum_rule_shifted(3, 2, den, -1e-3)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan, 1e300, 1e-300, 1e40,
+                                   "small", None])
+def test_shifted_rejects_gamma_out_of_range(gamma):
+    # inf, nan and 1e300 / 1e-300 overflow or underflow gamma's own powers;
+    # at 1e40 the zero-mode energy's Taylor polynomial overflows at p = 3
+    den = DensitySpec.tilted(3, 1.0)
+    with pytest.raises(ValidationError):
+        sum_rule_shifted(3, 3, den, gamma)
+
+
+@pytest.mark.parametrize("cut", [250.5, "300", math.inf, math.nan, -5, True])
+def test_cutoff_must_be_a_non_negative_integer(cut):
+    den = DensitySpec.tilted(3, 0.7)
+    for call in (lambda: sum_rule(3, 2, den, ell_cut=cut),
+                 lambda: sum_rule_shifted(3, 2, den, 1e-3, ell_cut=cut),
+                 lambda: density_integrals("J1", (0, 0), den, ell_cut=cut),
+                 lambda: epsilon_recursive(den, 2, ell_cut=cut)):
+        with pytest.raises(ValidationError):
+            call()
+
+
+def test_integral_float_cutoff_is_the_integer_cutoff():
+    den = DensitySpec.tilted(3, 0.7)
+    assert sum_rule(3, 2, den, ell_cut=250.0) == sum_rule(3, 2, den,
+                                                          ell_cut=250)
+    assert sum_rule(3, 2, den, ell_cut=np.int64(250)).ell_cut == 250
+    # valid cutoffs keep the clamp to the default and the lower bound
+    assert sum_rule(3, 2, den, ell_cut=0).ell_cut == 200
+    with pytest.raises(CutoffTooSmallError):
+        density_integrals("J1", (0, 0), den, ell_cut=0)

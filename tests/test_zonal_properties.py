@@ -1,11 +1,12 @@
 """Property tests of the zonal couplings and the cubic trace.
 
-Random positive zonal densities on S^2..S^5 with degrees up to 4 drive four
+Random positive zonal densities on S^2..S^5 with degrees up to 4 drive five
 checks: Jacobi-matrix band entries against the generic Gauss-Jacobi
 coupling W, the grid-vectorized cubic trace against a naive loop over m2
 blocks and coupled triples with dense band matrices, the zero-mode energy
-recursion against its closed forms, and the zonal-block variational
-spectrum against the full-matrix one.
+recursion against its closed forms, the zonal-block variational spectrum
+against the full-matrix one, and the exact sum rules against the linear
+extrapolation of the gamma-shifted route to gamma = 0.
 """
 
 import math
@@ -13,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sphere_sumrules.density import DensitySpec
 from sphere_sumrules.harmonics import (HarmonicIndex, coupling_W, degeneracy,
@@ -21,7 +22,8 @@ from sphere_sumrules.harmonics import (HarmonicIndex, coupling_W, degeneracy,
                                        zonal_band_matrix)
 from sphere_sumrules import rayleigh_ritz, sumrules
 from sphere_sumrules.sumrules import (_coupled_triples, _cubic_core,
-                                      epsilon_closed, epsilon_recursive)
+                                      epsilon_closed, epsilon_recursive,
+                                      p_min, sum_rule, sum_rule_shifted)
 
 
 @st.composite
@@ -105,3 +107,16 @@ def test_zonal_blocks_match_full_matrix_spectrum(den, ell_max):
         rayleigh_ritz.assemble(den.d, ell_max, den, mode=mode)).expand()
         for mode in ("zonal_blocks", "full")]
     np.testing.assert_allclose(*spectra, rtol=1e-10, atol=1e-10)
+
+
+@settings(max_examples=15)
+@given(den=zonal_densities(), data=st.data())
+def test_shifted_route_extrapolates_to_exact_sum_rule(den, data):
+    d = den.d
+    p = data.draw(st.sampled_from([q for q in (2, 3) if q >= p_min(d)]),
+                  label="p")
+    g1, g2 = 1e-3, 1e-4
+    z1 = sum_rule_shifted(d, p, den, g1)["Z_renorm"]
+    z2 = sum_rule_shifted(d, p, den, g2)["Z_renorm"]
+    extrap = (g1 * z2 - g2 * z1) / (g1 - g2)
+    assert extrap == pytest.approx(sum_rule(d, p, den).value, abs=1e-6)
