@@ -21,7 +21,7 @@ import numpy as np
 from mpmath import fp
 from scipy import special
 
-from . import harmonics, tails
+from . import harmonics, sumrules, tails
 from .errors import DivergentSumError, ValidationError
 
 __all__ = ["GreenOrder", "green_closed_form", "green_spectral",
@@ -112,7 +112,8 @@ def green_spectral(order, cosgamma, ell_cut=2000, regularize=False):
     if not isinstance(order, GreenOrder):
         order = GreenOrder(*order)
     d, q, gamma = order.d, order.q, order.gamma
-    if ell_cut < 8:
+    ell_cut = sumrules._check_ell_cut(ell_cut)
+    if ell_cut is None or ell_cut < 8:
         raise ValidationError("ell_cut too small to say anything: %r"
                               % (ell_cut,))
     absolutely = _term_decay_exponent(d, q) < -1.0

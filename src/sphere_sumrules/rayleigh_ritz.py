@@ -6,10 +6,16 @@ A = diag(lambda_ell) and overlap B_ij = delta_ij + sum_c c * W(i, j, c).
 The computed eigenvalues bound the true ones from above and sink
 monotonically as the basis grows.  For a zonal density the overlap couples
 only harmonics sharing an m-vector and depends on it only through the
-leading entry m2, so the problem splits into banded blocks of size
+leading entry m2, so the problem splits into blocks of size
 ell_max - m2 + 1, each carrying the degeneracy of the sphere one dimension
 down as its multiplicity; that fast path turns one dense solve of dimension
 in the tens of thousands into ell_max + 1 small ones.
+
+Each zonal block's B is banded, of bandwidth the density's top degree.  In
+the blocks with m2 >= 1 every lambda_ell is positive, so the pencil is the
+symmetric band matrix A^{-1/2} B A^{-1/2}, whose eigenvalues are 1/E: those
+blocks keep B in band storage and are solved as band problems.  The m2 = 0
+block, which holds the zero mode, and the full non-zonal matrix are dense.
 """
 
 import math
@@ -23,6 +29,8 @@ from .density import DensitySpec
 from .errors import NonConvergenceError, ValidationError
 
 ZERO_MODE_TOL = 1e-10
+# m2 rows per Jacobi-band grid in zonal block assembly
+_BAND_CHUNK_ROWS = 64
 
 
 def basis_size(d, ell_max):
@@ -52,12 +60,18 @@ def truncated_basis(d, ell_max):
 @dataclass(frozen=True)
 class ProblemBlock:
     """One invariant block: A = diag(stiffness), overlap B, and how many
-    identical copies of it the full problem contains."""
+    identical copies of it the full problem contains.
+
+    storage says how overlap holds B: "dense" is the n x n matrix, "band"
+    the lower band overlap[o, j] = B[j + o, j] (zero where j + o >= n), the
+    layout of `scipy.linalg.eig_banded` with lower=True.
+    """
 
     label: int
     multiplicity: int
     stiffness: np.ndarray
     overlap: np.ndarray
+    storage: str
 
 
 @dataclass(frozen=True)
@@ -70,10 +84,13 @@ class GeneralizedProblem:
     density: DensitySpec
 
 
-def _check_spd(matrix, what):
+def _check_spd(overlap, storage, what):
     try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
+        if storage == "band":
+            linalg.cholesky_banded(overlap, lower=True)
+        else:
+            np.linalg.cholesky(overlap)
+    except linalg.LinAlgError:
         raise ValidationError(
             "the density is not positive on the truncated subspace: "
             "Cholesky factorization of the %s overlap failed" % (what,))
@@ -125,10 +142,10 @@ def _assemble_full(d, ell_max, density):
     overlap = np.eye(n, dtype=complex if complex_density else float)
     overlap[I, J] += sigma if complex_density else sigma.real
     overlap[J, I] = np.conj(overlap[I, J])
-    _check_spd(overlap, "full")
+    _check_spd(overlap, "dense", "full")
     stiffness = np.array([harmonics.eigenvalue(d, h.ell) for h in idx],
                          dtype=float)
-    block = ProblemBlock(-1, 1, stiffness, overlap)
+    block = ProblemBlock(-1, 1, stiffness, overlap, "dense")
     return GeneralizedProblem(d, ell_max, (block,), density)
 
 
@@ -139,15 +156,47 @@ def _zonal_block(d, ell_max, zc, m2):
     overlap = np.eye(len(ls))
     for L, c in zc.items():
         overlap += c * harmonics.zonal_band_matrix(d, L, m2, m2, ell_max)
-    _check_spd(overlap, "m2=%d block" % m2)
+    _check_spd(overlap, "dense", "m2=%d block" % m2)
     mult = harmonics.degeneracy(d - 1, m2)
-    return ProblemBlock(m2, mult, stiffness, overlap)
+    return ProblemBlock(m2, mult, stiffness, overlap, "dense")
+
+
+def _zonal_band_blocks(d, ell_max, zc):
+    """The m2 >= 1 blocks of a zonal density, their overlaps in band storage.
+
+    The bands come from one `zonal_band_diagonals` grid per degree and
+    chunk of m2 rows.  Each entry is formed as in `_zonal_block`, 1 on the
+    diagonal plus c_L w_L over the degrees in turn, so it is bitwise the
+    dense block's.  A block of size n keeps min(bandwidth, n - 1) + 1 rows.
+    """
+    width = max(zc, default=0)
+    offsets = np.arange(width + 1).reshape(-1, 1, 1)
+    blocks = []
+    for first in range(1, ell_max + 1, _BAND_CHUNK_ROWS):
+        m2 = np.arange(first, min(first + _BAND_CHUNK_ROWS, ell_max + 1))
+        size = ell_max - first + 1
+        bands = np.zeros((width + 1, len(m2), size))
+        bands[0] = 1.0
+        for L, c in zc.items():
+            diag = harmonics.zonal_band_diagonals(d, L, m2, size)
+            bands[L % 2:L + 1:2] += c * diag[L % 2::2]
+        # entries coupling to a degree past the cut lie outside the block
+        bands[m2[:, None] + np.arange(size) + offsets > ell_max] = 0.0
+        for r, m in enumerate(m2.tolist()):
+            n = ell_max - m + 1
+            rows = min(width, n - 1) + 1
+            overlap = np.ascontiguousarray(bands[:rows, r, :n])
+            _check_spd(overlap, "band", "m2=%d block" % m)
+            ls = np.arange(m, ell_max + 1)
+            blocks.append(ProblemBlock(m, harmonics.degeneracy(d - 1, m),
+                                       ls * (ls + d - 1.0), overlap, "band"))
+    return blocks
 
 
 def _assemble_zonal(d, ell_max, density):
     zc = density.zonal_coeffs()
-    blocks = tuple(_zonal_block(d, ell_max, zc, m2)
-                   for m2 in range(ell_max + 1))
+    blocks = (_zonal_block(d, ell_max, zc, 0),
+              *_zonal_band_blocks(d, ell_max, zc))
     return GeneralizedProblem(d, ell_max, blocks, density)
 
 
@@ -210,29 +259,46 @@ class SpectrumEstimate:
                  int(self.block_labels[n])) for n in range(len(self.values))]
 
 
+def _scaled_band(block):
+    """A^{-1/2} B A^{-1/2} in the lower band storage of the block's B."""
+    s = block.stiffness ** -0.5
+    scaled = block.overlap * s
+    for o in range(len(scaled)):
+        scaled[o, :len(s) - o] *= s[o:]
+    return scaled
+
+
 def solve_spectrum(problem, retained_count=None):
     """All generalized eigenvalues of the problem, merged across blocks.
 
-    Blocks are independent and could be solved concurrently; the merge
-    sorts by (eigenvalue, block label) so the result is deterministic
-    either way.  retained_count defaults to half the basis size, the
-    truncation trusted downstream when the estimate feeds a partial sum.
+    A dense block is solved by `linalg.eigh` on the pencil (A, B).  A band
+    block has A > 0 and is solved as the symmetric band matrix
+    A^{-1/2} B A^{-1/2}, whose eigenvalues mu give E = 1/mu.  Blocks are
+    independent; the merge sorts by (eigenvalue, block label), stably, so
+    the result is deterministic.  retained_count defaults to half the
+    basis size, the truncation trusted downstream when the estimate feeds
+    a partial sum.
     """
-    entries = []
+    values, mults, labels = [], [], []
     for block in problem.blocks:
-        a = np.diag(block.stiffness).astype(block.overlap.dtype)
         try:
-            vals = linalg.eigh(a, block.overlap, eigvals_only=True)
+            if block.storage == "band":
+                vals = 1.0 / linalg.eig_banded(_scaled_band(block),
+                                               lower=True, eigvals_only=True)
+            else:
+                a = np.diag(block.stiffness).astype(block.overlap.dtype)
+                vals = linalg.eigh(a, block.overlap, eigvals_only=True)
         except linalg.LinAlgError as exc:
             raise NonConvergenceError(
                 "generalized eigensolve failed on block %r: %s"
                 % (block.label, exc))
-        entries.extend((float(v), block.multiplicity, block.label)
-                       for v in vals)
-    entries.sort(key=lambda t: (t[0], t[2]))
-    values = np.array([e[0] for e in entries])
-    mults = np.array([e[1] for e in entries], dtype=int)
-    labels = np.array([e[2] for e in entries], dtype=int)
+        values.append(vals)
+        mults.append(np.full(len(vals), block.multiplicity, dtype=int))
+        labels.append(np.full(len(vals), block.label, dtype=int))
+    values, mults, labels = (np.concatenate(a) for a in (values, mults,
+                                                           labels))
+    order = np.lexsort((labels, values))
+    values, mults, labels = values[order], mults[order], labels[order]
     total = int(mults.sum())
     if retained_count is None:
         retained_count = total // 2

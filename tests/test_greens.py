@@ -164,6 +164,19 @@ def test_green_order_validation():
         GreenOrder(3, 1, -0.5)
 
 
+@pytest.mark.parametrize("ell_cut", [250.5, "300", math.inf, math.nan, -5,
+                                     True, None, 7])
+def test_spectral_rejects_bad_cutoffs(ell_cut):
+    with pytest.raises(ValidationError):
+        green_spectral(GreenOrder(3, 2), 0.5, ell_cut)
+
+
+def test_spectral_takes_integral_float_cutoff():
+    want = green_spectral(GreenOrder(3, 2), 0.5, 250)
+    assert green_spectral(GreenOrder(3, 2), 0.5, 250.0) == want
+    assert green_spectral(GreenOrder(3, 2), 0.5, np.int64(250)) == want
+
+
 def test_closed_form_pairs_supported():
     for d in (2, 3, 4):
         for q in (0, 1, 2):

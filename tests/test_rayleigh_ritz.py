@@ -4,21 +4,29 @@ The density couples degrees but, for zonal densities, never mixes the
 deeper m-chain, so the truncated problem splits into one tridiagonal-like
 band block per leading azimuthal class.  Tests pin the block layout, the
 full-matrix dual route, exact uniform spectra, a hand-solved 2x2 pencil,
-and the variational upper-bound property.
+the variational upper-bound property, the band storage of the m2 >= 1
+blocks against the dense band matrices, and the band solver against dense
+solves and a 30-digit mpmath reference.
 """
 
 import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from scipy import linalg
 
+from sphere_sumrules import harmonics
 from sphere_sumrules import rayleigh_ritz as rr
 from sphere_sumrules.density import DensitySpec, kappa_bound
 from sphere_sumrules.errors import ValidationError
-from sphere_sumrules.harmonics import HarmonicIndex, coupling_W
+from sphere_sumrules.harmonics import (HarmonicIndex, coupling_W,
+                                       zonal_band_matrix)
 
 from test_density import _rotated_tilt
+from test_zonal_properties import zonal_densities
 
 
 def test_basis_size_reference_counts():
@@ -169,5 +177,127 @@ def test_indefinite_overlap_rejected():
     # the per-block Cholesky guard is the last line of defense should a
     # density slip past the sampled positivity check
     with pytest.raises(ValidationError):
-        rr._check_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), "full")
-    rr._check_spd(np.eye(3), "full")
+        rr._check_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), "dense", "full")
+    rr._check_spd(np.eye(3), "dense", "full")
+    # the same 2x2 matrix in lower band storage
+    with pytest.raises(ValidationError, match="Cholesky factorization of "
+                       "the m2=1 block overlap failed"):
+        rr._check_spd(np.array([[1.0, 1.0], [2.0, 0.0]]), "band",
+                      "m2=1 block")
+    rr._check_spd(np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.0]]), "band",
+                  "m2=1 block")
+
+
+def test_indefinite_band_block_rejected_in_assembly():
+    # inflate the couplings of the band blocks only: the dense m2 = 0 block
+    # still passes, and the first band block's Cholesky check must fail
+    bands = harmonics.zonal_band_diagonals
+
+    def inflated(d, L, m2, size):
+        return bands(d, L, m2, size) * (1.0 if min(m2) == 0 else 100.0)
+
+    with mock.patch.object(harmonics, "zonal_band_diagonals", inflated):
+        with pytest.raises(ValidationError, match="the density is not "
+                           "positive on the truncated subspace: Cholesky "
+                           "factorization of the m2=1 block overlap failed"):
+            rr.assemble(3, 6, DensitySpec.tilted(3, 1.0))
+
+
+def _dense_lower_band(matrix, width):
+    """Lower band storage of a symmetric matrix, zero past its corner."""
+    n = len(matrix)
+    band = np.zeros((min(width, n - 1) + 1, n))
+    for o in range(len(band)):
+        band[o, :n - o] = np.diag(matrix, -o)
+    return band
+
+
+@given(den=zonal_densities(), ell_max=st.integers(1, 20),
+       chunk=st.integers(1, 8))
+def test_band_blocks_match_dense_band_matrices(den, ell_max, chunk):
+    # every m2 >= 1 overlap, bitwise: 1 + sum_L c_L w_L from the dense
+    # band matrices, taken in the same order; small chunks put chunk
+    # boundaries inside the grid
+    d, zc = den.d, den.zonal_coeffs()
+    with mock.patch.object(rr, "_BAND_CHUNK_ROWS", chunk):
+        prob = rr.assemble(d, ell_max, den)
+    assert [b.label for b in prob.blocks] == list(range(ell_max + 1))
+    assert prob.blocks[0].storage == "dense"
+    for block in prob.blocks[1:]:
+        m2 = block.label
+        dense = np.eye(ell_max - m2 + 1)
+        for L, c in zc.items():
+            dense += c * zonal_band_matrix(d, L, m2, m2, ell_max)
+        ls = np.arange(m2, ell_max + 1)
+        assert block.storage == "band"
+        assert block.multiplicity == harmonics.degeneracy(d - 1, m2)
+        assert np.array_equal(block.stiffness, ls * (ls + d - 1.0))
+        assert np.array_equal(block.overlap,
+                              _dense_lower_band(dense, den.ell_max))
+
+
+def _dense_overlap(block):
+    """The symmetric matrix behind a band block's lower band storage."""
+    n = len(block.stiffness)
+    overlap = np.zeros((n, n))
+    for o, row in enumerate(block.overlap):
+        i = np.arange(n - o)
+        overlap[i + o, i] = overlap[i, i + o] = row[:n - o]
+    return overlap
+
+
+@given(den=zonal_densities(), ell_max=st.integers(1, 12))
+def test_band_spectra_match_dense_solves(den, ell_max):
+    # block 0 keeps the dense solve bit for bit; the band blocks agree
+    # with a dense eigh of the same pencil to 1e-13
+    prob = rr.assemble(den.d, ell_max, den)
+    spec = rr.solve_spectrum(prob)
+    for block in prob.blocks:
+        got = spec.values[spec.block_labels == block.label]
+        if block.storage == "dense":
+            want = linalg.eigh(np.diag(block.stiffness), block.overlap,
+                               eigvals_only=True)
+            assert np.array_equal(got, want)
+            continue
+        want = linalg.eigh(np.diag(block.stiffness), _dense_overlap(block),
+                           eigvals_only=True)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def _mpmath_block_eigenvalues(block):
+    """E = 1/mu over the eigenvalues mu of A^{-1/2} B A^{-1/2}, formed from
+    the block's float B at 30 digits."""
+    n = len(block.stiffness)
+    s = [1 / mpmath.sqrt(mpmath.mpf(float(a))) for a in block.stiffness]
+    m = mpmath.zeros(n)
+    for o, row in enumerate(block.overlap):
+        for j in range(n - o):
+            entry = s[j + o] * mpmath.mpf(float(row[j])) * s[j]
+            m[j + o, j] = m[j, j + o] = entry
+    mu = mpmath.eigsy(m, eigvals_only=True)
+    return np.array(sorted(float(1 / x) for x in mu))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("shape", ["tilt", "zonal"])
+def test_band_solver_matches_mpmath(d, shape):
+    # each band block's eigenvalues against a 30-digit solve of the same
+    # float pencil, so only the solver is measured.  Both routes sit at an
+    # ulp or two here, and which is closer flips from block to block, so
+    # the comparison with the dense solve is over the whole problem.
+    den = (DensitySpec.tilted(d, 0.8 * kappa_bound(d)) if shape == "tilt"
+           else DensitySpec.zonal(d, {1: 0.3, 2: 0.2, 3: 0.1}))
+    prob = rr.assemble(d, 12, den)
+    spec = rr.solve_spectrum(prob)
+    band_err = dense_err = 0.0
+    with mpmath.workdps(30):
+        for block in prob.blocks[1:]:
+            exact = _mpmath_block_eigenvalues(block)
+            got = spec.values[spec.block_labels == block.label]
+            dense = linalg.eigh(np.diag(block.stiffness),
+                                _dense_overlap(block), eigvals_only=True)
+            rel = np.abs(got - exact) / exact
+            assert rel.max() <= 4e-15
+            band_err += rel.sum()
+            dense_err += np.sum(np.abs(dense - exact) / exact)
+    assert band_err <= dense_err

@@ -1,12 +1,13 @@
 """Property tests of the zonal couplings and the cubic trace.
 
-Random positive zonal densities on S^2..S^5 with degrees up to 4 drive five
+Random positive zonal densities on S^2..S^5 with degrees up to 4 drive six
 checks: Jacobi-matrix band entries against the generic Gauss-Jacobi
 coupling W, the grid-vectorized cubic trace against a naive loop over m2
 blocks and coupled triples with dense band matrices, the zero-mode energy
 recursion against its closed forms, the zonal-block variational spectrum
-against the full-matrix one, and the exact sum rules against the linear
-extrapolation of the gamma-shifted route to gamma = 0.
+against the full-matrix one, the single zero mode of that spectrum, and
+the exact sum rules against the linear extrapolation of the gamma-shifted
+route to gamma = 0.
 """
 
 import math
@@ -107,6 +108,23 @@ def test_zonal_blocks_match_full_matrix_spectrum(den, ell_max):
         rayleigh_ritz.assemble(den.d, ell_max, den, mode=mode)).expand()
         for mode in ("zonal_blocks", "full")]
     np.testing.assert_allclose(*spectra, rtol=1e-10, atol=1e-10)
+
+
+@given(den=zonal_densities(), ell_max=st.integers(1, 8))
+def test_variational_spectrum_keeps_one_zero_mode(den, ell_max):
+    # the constant solves the weak form with E = 0 for every density: the
+    # merged spectrum holds it once, in the dense m2 = 0 block, and every
+    # other level is clearly positive
+    spec = rayleigh_ritz.solve_spectrum(
+        rayleigh_ritz.assemble(den.d, ell_max, den))
+    scale = max(1.0, float(abs(spec.values[-1])))
+    zero = np.abs(spec.values) <= rayleigh_ritz.ZERO_MODE_TOL * scale
+    assert np.flatnonzero(zero).tolist() == [0]
+    assert spec.multiplicities[0] == 1
+    assert spec.block_labels[0] == 0
+    assert np.all(spec.values[1:] > 0)
+    head = rayleigh_ritz.partial_sum(spec, 2, spec.total_count - 1)
+    assert math.isfinite(head) and head > 0
 
 
 @settings(max_examples=15)
