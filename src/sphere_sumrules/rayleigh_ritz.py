@@ -328,20 +328,12 @@ def partial_sum(spectrum, p, count=None):
         raise ValidationError(
             "lowest computed eigenvalue %g is not a numerical zero mode; "
             "refusing to drop it" % spectrum.values[0])
-    total = 0.0
-    remaining = count
-    skip_zero = 1
-    for value, mult in zip(spectrum.values, spectrum.multiplicities):
-        take = int(mult)
-        if skip_zero:
-            drop = min(skip_zero, take)
-            take -= drop
-            skip_zero -= drop
-        if take <= 0:
-            continue
-        take = min(take, remaining)
-        total += take / float(value) ** p
-        remaining -= take
-        if remaining == 0:
-            break
-    return total
+    # entry i takes what is left of count after the entries before it,
+    # up to its multiplicity; one copy of the zero mode is dropped first
+    mults = np.array(spectrum.multiplicities, dtype=np.int64)
+    mults[0] -= 1
+    take = np.clip(count - (np.cumsum(mults) - mults), 0, mults)
+    used = take > 0
+    terms = take[used] / spectrum.values[used] ** p
+    # cumsum adds in order, as a running total would; np.sum pairs terms
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0

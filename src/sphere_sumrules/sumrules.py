@@ -15,7 +15,9 @@ in harmonic coefficient space:
   holds the zero mode (exact finite sums, no truncation);
 * J-type traces: an infinite degree sum handled by closed-form pair
   strengths S_L(l, l') plus Euler-Maclaurin tail acceleration, and (for
-  densities with coupled degree triples) a banded triple trace;
+  zonal densities with coupled degree triples) a triple trace, taken on
+  every m2 block at once as chains of banded products D W D W D closed by
+  the third degree's band;
 * the zero-mode energy coefficients eps_1..eps_4 of the gamma-shifted
   problem, both in closed form and by an independent linear-algebra
   recursion;
@@ -41,12 +43,18 @@ from .errors import (CutoffTooSmallError, DivergentSumError,
                      ValidationError)
 
 __all__ = [
-    "DensitySpec", "EpsilonCoeffs", "SumRuleResult", "closed_form_reference",
+    "DensitySpec", "EpsilonCoeffs", "MAX_ELL_CUT", "SumRuleResult",
+    "closed_form_reference",
     "density_integrals", "epsilon_closed", "epsilon_recursive", "kappa_bound",
     "p_min", "sum_rule", "sum_rule_shifted", "zeta_uniform",
 ]
 
 DEFAULT_ELL_CUT = 200
+
+# Largest accepted cutoff.  Every band sum up to it fits in memory as a
+# float array; the cubic trace's time grows like its square and its
+# working set linearly.
+MAX_ELL_CUT = 10 ** 6
 
 _ORDER_COUNT = {"I1": 1, "I2": 2, "I3": 3, "J1": 2, "J2": 3}
 
@@ -67,20 +75,32 @@ def _check_dimension(d):
         raise ValidationError("sphere dimension must be 2..5, got %r" % (d,))
 
 
+def _integral(value):
+    """value as an int if it is an integral real number (not a bool),
+    else None."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if (isinstance(value, numbers.Real) and math.isfinite(value)
+            and float(value).is_integer()):
+        return int(value)
+    return None
+
+
 def _check_ell_cut(ell_cut):
-    """The cutoff as an int, None kept: a degree sum has an integral cut."""
+    """The cutoff as an int, None kept: a degree sum has an integral cut,
+    at most MAX_ELL_CUT."""
     if ell_cut is None:
         return None
-    if isinstance(ell_cut, numbers.Integral):
-        integral = not isinstance(ell_cut, bool)
-    else:
-        integral = (isinstance(ell_cut, numbers.Real)
-                    and math.isfinite(ell_cut)
-                    and float(ell_cut).is_integer())
-    if not integral or ell_cut < 0:
+    cut = _integral(ell_cut)
+    if cut is None or cut < 0:
         raise ValidationError("ell_cut must be a non-negative integer, got %r"
                               % (ell_cut,))
-    return int(ell_cut)
+    if cut > MAX_ELL_CUT:
+        raise ValidationError("ell_cut=%d is above the supported ceiling %d"
+                              % (cut, MAX_ELL_CUT))
+    return cut
 
 
 def _check_gamma(gamma):
@@ -211,9 +231,10 @@ def _cubic_powers(exps, gamma):
     return [e + 1 for e in exps] if gamma is None else [1, 1, 1]
 
 
-# m2 rows per chunk of the cubic trace's (m2, n) grid: bounds the working
-# set at a few MB whatever the cutoff.
-_CUBIC_CHUNK_ROWS = 64
+# m2 rows per chunk of the cubic trace's (m2, n) grid: the working set is a
+# few dozen arrays of this many rows by the cutoff, under 4 MB at the
+# default cutoff.
+_CUBIC_CHUNK_ROWS = 32
 
 
 def _cubic_core(density, exps, gamma, cuts):
@@ -221,57 +242,87 @@ def _cubic_core(density, exps, gamma, cuts):
 
     gamma=None gives the unshifted trace over l >= 1 with weights
     1/lambda^(e+1); a positive gamma includes the l = 0 row with weights
-    1/(lambda + gamma).  The couplings are banded, so each trace is a sum
-    over coupled degree triples and band offsets (d1, d2) of elementwise
-    products on the (m2, n) grid, l = m2 + n, weighted by the multiplicity
-    g_{d-1}(m2) of each block.  Every cut shares one set of bands: a
+    1/(lambda + gamma).  Each m2 block contributes g_{d-1}(m2) times
+
+        sum over coupled (L1, L2, L3) of  tr(D0 V_L2 D1 V_L3 D2 V_L1),
+
+    with D_k the diagonal weights and V_L = c_L W_L the density's banded
+    couplings.  The blocks are stacked as rows of an (m2, n) grid,
+    l = m2 + n, and each band is a grid array per offset o, V_L(l, l + o),
+    zero where l + o falls off the block.  The weights are folded into the
+    bands once, A_L[o] = D0 V_L D1 and C_L[o] = V_L D2.  Each ordered pair
+    (L2, L3) of a coupled triple is traced as a chain: its band product
+    M = D0 V_L2 D1 V_L3 D2 takes one multiply-add per offset pair (d1, d2),
+    into offset e = d1 + d2, and is contracted with the sum of V_L1 over
+    the L1 that `_coupled_triples` closes the pair with.  Pairs closed by
+    the same degrees share one product and one contraction.  No other L1
+    enters: a triple the triangle rule forbids vanishes only by
+    cancellation across blocks.  Every cut shares one set of bands: a
     smaller cut only zeroes the weights of degrees above it.  Returns the
     traces as an array, one per cut.
     """
     d = density.d
     zc = density.zonal_coeffs()
-    triples = _coupled_triples(density)
+    closers = {}
+    for L1, L2, L3 in _coupled_triples(density):
+        closers.setdefault((L2, L3), []).append(L1)
+    pairs = {}
+    for pair, L1s in closers.items():
+        pairs.setdefault(tuple(L1s), []).append(pair)
     floor = 1 if gamma is None else 0
     shift = 0.0 if gamma is None else gamma
     powers = _cubic_powers(exps, gamma)
     cuts = np.asarray(cuts).reshape(-1, 1, 1)
     lcut = int(cuts.max())
+    # the weights carry `pad` zero columns on either side, so a view
+    # shifted by any band offset stays inside the array
+    pad = density.ell_max
     total = np.zeros(cuts.shape[0])
     for first in range(0, lcut + 1, _CUBIC_CHUNK_ROWS):
         m2 = np.arange(first, min(first + _CUBIC_CHUNK_ROWS, lcut + 1))
         width = lcut - first + 1
-        ls = m2[:, None] + np.arange(width)
-        lam = np.where((ls >= floor) & (ls <= cuts),
+        n = np.arange(-pad, width + pad)
+        ls = m2[:, None] + n
+        lam = np.where((n >= 0) & (ls >= floor) & (ls <= cuts),
                        ls * (ls + d - 1.0) + shift, np.inf)
         gm = np.array([float(harmonics.degeneracy(d - 1, m)) for m in m2])
         wts = [lam ** -pw for pw in powers]
         wts[0] = wts[0] * gm[:, None]
-        bands = {L: harmonics.zonal_band_diagonals(d, L, m2, width)
-                 for L in zc}
 
-        def band(L, o, i0, i1):
-            """w_L(l, l + o) for the grid columns n = i0..i1."""
-            return (bands[L][o, :, i0:i1 + 1] if o >= 0
-                    else bands[L][-o, :, i0 + o:i1 + 1 + o])
+        def at(o):
+            """Grid columns n = 0..width-1 of a padded array, moved by o."""
+            return slice(pad + o, pad + o + width)
 
-        for (L1, L2, L3) in triples:
-            acc = np.zeros_like(total)
-            for d1 in range(-L2, L2 + 1, 2):
-                for d2 in range(-L3, L3 + 1, 2):
-                    e = d1 + d2
-                    if abs(e) > L1:
-                        continue
-                    i0 = max(0, -d1, -e)
-                    i1 = width - 1 - max(0, d1, e)
-                    if i1 < i0:
-                        continue
-                    acc += np.sum(
-                        wts[0][..., i0:i1 + 1] * band(L2, d1, i0, i1)
-                        * wts[1][..., i0 + d1:i1 + 1 + d1]
-                        * band(L3, d2, i0 + d1, i1 + d1)
-                        * wts[2][..., i0 + e:i1 + 1 + e]
-                        * band(L1, e, i0, i1), axis=(1, 2))
-            total += zc[L1] * zc[L2] * zc[L3] * acc
+        V, A, C = {}, {}, {}
+        for L, c in zc.items():
+            diag = c * harmonics.zonal_band_diagonals(d, L, m2, width)
+            for o in range(-L, L + 1, 2):
+                if o >= 0:
+                    v = diag[o]
+                else:
+                    v = np.zeros_like(diag[0])
+                    v[:, -o:] = diag[-o, :, :max(0, width + o)]
+                V[L, o] = v
+                A[L, o] = wts[0][..., at(0)] * v * wts[1][..., at(o)]
+                C[L, o] = np.zeros_like(wts[2])
+                C[L, o][..., at(0)] = v * wts[2][..., at(o)]
+        for L1s, closed in pairs.items():
+            top = max(L1s)
+            chain = {}
+            for L2, L3 in closed:
+                for d1 in range(-L2, L2 + 1, 2):
+                    for d2 in range(-L3, L3 + 1, 2):
+                        e = d1 + d2
+                        if abs(e) > top:
+                            continue
+                        term = A[L2, d1] * C[L3, d2][..., at(d1)]
+                        if e in chain:
+                            chain[e] += term
+                        else:
+                            chain[e] = term
+            for e, m in chain.items():
+                closing = sum(V[L1, e] for L1 in L1s if abs(e) <= L1)
+                total += np.sum(m * closing, axis=(1, 2))
     return total
 
 
@@ -426,12 +477,18 @@ def density_integrals(kind, orders, density, ell_cut=None):
     """
     if kind not in _ORDER_COUNT:
         raise ValidationError("unknown integral kind %r" % (kind,))
-    orders = tuple(int(v) for v in orders)
+    try:
+        given = tuple(orders)
+    except TypeError:
+        raise ValidationError("kernel orders must be a tuple, got %r"
+                              % (orders,)) from None
+    orders = tuple(_integral(v) for v in given)
     if len(orders) != _ORDER_COUNT[kind]:
         raise ValidationError("integral %s takes %d order(s), got %r"
-                              % (kind, _ORDER_COUNT[kind], orders))
-    if any(v < 0 for v in orders):
-        raise ValidationError("kernel orders must be >= 0, got %r" % (orders,))
+                              % (kind, _ORDER_COUNT[kind], given))
+    if any(v is None or v < 0 for v in orders):
+        raise ValidationError("kernel orders must be integers >= 0, got %r"
+                              % (given,))
     _check_density(density)
     _check_dimension(density.d)
     ell_cut = _check_ell_cut(ell_cut)
@@ -535,7 +592,7 @@ def epsilon_recursive(density, order, ell_cut=None):
 
 def _check_sum_rule_orders(d, p):
     _check_dimension(d)
-    if p != int(p) or int(p) < 2 or int(p) > 3:
+    if _integral(p) not in (2, 3):
         raise UnsupportedOrderError(
             "sum rules are implemented for p in {2, 3}, got %r" % (p,))
     if p < p_min(d):

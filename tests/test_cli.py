@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from sphere_sumrules import cli
-from sphere_sumrules.sumrules import closed_form_reference, zeta_uniform
+from sphere_sumrules.sumrules import (MAX_ELL_CUT, closed_form_reference,
+                                      zeta_uniform)
 
 
 def run_cli(capsys, argv):
@@ -93,6 +94,15 @@ def test_exact_kappa_bound_exits_one(capsys):
                                     "--kappa", "5"])
     assert code == 1
     assert "positivity bound" in err
+
+
+@pytest.mark.parametrize("cut", [str(10 ** 19), str(MAX_ELL_CUT + 1)])
+def test_exact_cutoff_above_ceiling_exits_one(capsys, cut):
+    code, out, err = run_cli(capsys, ["exact", "--d", "3", "--p", "3",
+                                      "--kappa", "1", "--ell-cut", cut])
+    assert code == 1
+    assert "above the supported ceiling" in err
+    assert out == ""
 
 
 def test_exact_negative_cutoff_exits_one(capsys):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from sphere_sumrules import greens
+from sphere_sumrules import greens, sumrules
 from sphere_sumrules import harmonics as H
 from sphere_sumrules.errors import DivergentSumError, ValidationError
 from sphere_sumrules.greens import GreenOrder, green_closed_form, green_spectral
@@ -165,7 +165,8 @@ def test_green_order_validation():
 
 
 @pytest.mark.parametrize("ell_cut", [250.5, "300", math.inf, math.nan, -5,
-                                     True, None, 7])
+                                     True, None, 7, 10 ** 19,
+                                     sumrules.MAX_ELL_CUT + 1])
 def test_spectral_rejects_bad_cutoffs(ell_cut):
     with pytest.raises(ValidationError):
         green_spectral(GreenOrder(3, 2), 0.5, ell_cut)

@@ -64,6 +64,37 @@ def test_partial_sum_skips_one_zero_mode():
         rr.partial_sum(spec, 2, 10 ** 9)
 
 
+def _running_partial_sum(spectrum, p, count):
+    """partial_sum as a running total over the spectrum's entries."""
+    total = 0.0
+    remaining = count
+    skip_zero = 1
+    for value, mult in zip(spectrum.values, spectrum.multiplicities):
+        take = int(mult)
+        if skip_zero:
+            drop = min(skip_zero, take)
+            take -= drop
+            skip_zero -= drop
+        if take <= 0:
+            continue
+        take = min(take, remaining)
+        total += take / float(value) ** p
+        remaining -= take
+        if remaining == 0:
+            break
+    return total
+
+
+@pytest.mark.parametrize("d, ell_max", [(3, 30), (4, 14), (5, 9)])
+def test_partial_sum_equals_running_total(d, ell_max):
+    spec = rr.solve_spectrum(rr.assemble(d, ell_max,
+                                         DensitySpec.tilted(d, 0.8)))
+    for p in (2, 3):
+        for count in (0, 1, 57, spec.retained_count, spec.total_count - 1):
+            assert (rr.partial_sum(spec, p, count)
+                    == _running_partial_sum(spec, p, count))
+
+
 def test_zonal_block_layout():
     prob = rr.assemble(3, 2, DensitySpec.tilted(3, 1.0))
     sizes = [len(b.stiffness) for b in prob.blocks]

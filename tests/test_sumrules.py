@@ -11,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import zeta
 
 from sphere_sumrules import rayleigh_ritz
@@ -18,12 +19,15 @@ from sphere_sumrules.density import DensitySpec, kappa_bound
 from sphere_sumrules.errors import (
     CutoffTooSmallError,
     DivergentSumError,
+    SphereSumRulesError,
     UnsupportedDensityError,
     UnsupportedOrderError,
     ValidationError,
 )
 from sphere_sumrules.harmonics import HarmonicIndex, sphere_volume
 from sphere_sumrules.sumrules import (
+    MAX_ELL_CUT,
+    _check_ell_cut,
     closed_form_reference,
     density_integrals,
     epsilon_closed,
@@ -33,6 +37,9 @@ from sphere_sumrules.sumrules import (
     sum_rule_shifted,
     zeta_uniform,
 )
+from sphere_sumrules.weyl import hybrid_sum_rule
+
+from test_zonal_properties import zonal_densities
 
 PI = math.pi
 
@@ -417,8 +424,11 @@ def test_shifted_rejects_gamma_out_of_range(gamma):
         sum_rule_shifted(3, 3, den, gamma)
 
 
-@pytest.mark.parametrize("cut", [250.5, "300", math.inf, math.nan, -5, True])
+@pytest.mark.parametrize("cut", [250.5, "300", math.inf, math.nan, -5, True,
+                                 10 ** 19, MAX_ELL_CUT + 1, 1e300])
 def test_cutoff_must_be_a_non_negative_integer(cut):
+    # cutoffs above the ceiling are rejected before anything is sized by
+    # them
     den = DensitySpec.tilted(3, 0.7)
     for call in (lambda: sum_rule(3, 2, den, ell_cut=cut),
                  lambda: sum_rule_shifted(3, 2, den, 1e-3, ell_cut=cut),
@@ -426,6 +436,11 @@ def test_cutoff_must_be_a_non_negative_integer(cut):
                  lambda: epsilon_recursive(den, 2, ell_cut=cut)):
         with pytest.raises(ValidationError):
             call()
+
+
+def test_ceiling_is_at_least_a_million():
+    assert MAX_ELL_CUT >= 10 ** 6
+    assert _check_ell_cut(MAX_ELL_CUT) == MAX_ELL_CUT
 
 
 def test_integral_float_cutoff_is_the_integer_cutoff():
@@ -437,3 +452,67 @@ def test_integral_float_cutoff_is_the_integer_cutoff():
     assert sum_rule(3, 2, den, ell_cut=0).ell_cut == 200
     with pytest.raises(CutoffTooSmallError):
         density_integrals("J1", (0, 0), den, ell_cut=0)
+
+
+# ----------------------------------------------------------------------
+# rejected inputs
+
+# values no numeric argument accepts (None is the default of ell_cut)
+NOT_NUMBERS = st.sampled_from([None, "3", b"3", [3], (3,), 1j, object()])
+
+BAD_CUTOFFS = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=MAX_ELL_CUT + 1),
+    st.floats().filter(lambda x: not (math.isfinite(x) and x.is_integer()
+                                      and 0 <= x <= MAX_ELL_CUT)),
+    st.just(True), NOT_NUMBERS.filter(lambda v: v is not None))
+
+# gamma <= 0, nan, inf, or so small or large that gamma^3 or gamma^-3
+# under- or overflows; a numeric string is read as its number
+BAD_GAMMAS = st.one_of(
+    st.floats(max_value=0.0), st.just(math.nan),
+    st.floats(min_value=5e-324, max_value=1e-110), st.floats(min_value=1e110),
+    NOT_NUMBERS.filter(lambda v: v not in ("3", b"3")))
+
+
+def _bad(valid):
+    """Integers, floats and other values outside the set valid."""
+    return st.one_of(
+        st.integers(-10, 10), st.floats(), st.just(True),
+        NOT_NUMBERS).filter(lambda v: isinstance(v, bool)
+                            or all(v != good for good in valid))
+
+
+@given(den=zonal_densities(), data=st.data())
+def test_rejected_inputs_raise_package_errors(den, data):
+    # every rejection is typed, never a raw numpy, scipy or Python error
+    d = den.d
+    cut = data.draw(BAD_CUTOFFS, label="ell_cut")
+    small = data.draw(st.integers(0, den.ell_max), label="small ell_cut")
+    gamma = data.draw(BAD_GAMMAS, label="gamma")
+    p = data.draw(_bad({q for q in (2, 3) if q >= p_min(d)}), label="p")
+    dd = data.draw(_bad({d}), label="d")
+    dh = data.draw(_bad({2, 3, 4, 5}), label="hybrid d")
+    orders = data.draw(st.one_of(
+        NOT_NUMBERS.map(lambda v: (v, 0, 0)), st.just((0, -1, 0)),
+        st.just((0.5, 0, 0)), st.just((0, 0)), st.just(None)), label="orders")
+    calls = {
+        "sum_rule ell_cut": lambda: sum_rule(d, 3, den, ell_cut=cut),
+        "shifted ell_cut": lambda: sum_rule_shifted(d, 3, den, 1e-3,
+                                                    ell_cut=cut),
+        "integral ell_cut": lambda: density_integrals("J2", (0, 0, 0), den,
+                                                      ell_cut=cut),
+        "integral small ell_cut": lambda: density_integrals(
+            "J1", (0, 0), den, ell_cut=small),
+        "integral orders": lambda: density_integrals("J2", orders, den),
+        "shifted gamma": lambda: sum_rule_shifted(d, 3, den, gamma),
+        "sum_rule p": lambda: sum_rule(d, p, den),
+        "shifted p": lambda: sum_rule_shifted(d, p, den, 1e-3),
+        "hybrid p": lambda: hybrid_sum_rule(d, p, 0.5, 4),
+        "sum_rule d": lambda: sum_rule(dd, 3, den),
+        "shifted d": lambda: sum_rule_shifted(dd, 3, den, 1e-3),
+        "hybrid d": lambda: hybrid_sum_rule(dh, 3, 0.5, 4),
+    }
+    for what, call in calls.items():
+        with pytest.raises(SphereSumRulesError):
+            call()

@@ -2,12 +2,13 @@
 
 Random positive zonal densities on S^2..S^5 with degrees up to 4 drive six
 checks: Jacobi-matrix band entries against the generic Gauss-Jacobi
-coupling W, the grid-vectorized cubic trace against a naive loop over m2
-blocks and coupled triples with dense band matrices, the zero-mode energy
-recursion against its closed forms, the zonal-block variational spectrum
-against the full-matrix one, the single zero mode of that spectrum, and
-the exact sum rules against the linear extrapolation of the gamma-shifted
-route to gamma = 0.
+coupling W, the banded-chain cubic trace against a naive loop over m2
+blocks and coupled triples with dense band matrices (also on fixed
+densities whose parity-allowed triples the triangle rule forbids), the
+zero-mode energy recursion against its closed forms, the zonal-block
+variational spectrum against the full-matrix one, the single zero mode of
+that spectrum, and the exact sum rules against the linear extrapolation of
+the gamma-shifted route to gamma = 0.
 """
 
 import math
@@ -92,6 +93,26 @@ def test_cubic_core_matches_naive_trace(den, lcut, exps, gamma, chunk):
     with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
         got, = _cubic_core(den, exps, gamma, (lcut,))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, coeffs, exps, gamma", [
+    (2, {1: 0.2, 4: 0.3}, (0, 0, 0), 1e-2),
+    (3, {1: 0.2, 4: 0.3}, (1, 0, 1), None),
+    (4, {1: 0.2, 3: 0.1, 4: 0.3}, (0, 0, 0), 1e-2),
+])
+@pytest.mark.parametrize("chunk", [3, 7])
+def test_cubic_core_keeps_to_coupled_triples(d, coeffs, exps, gamma, chunk):
+    # parity allows (1, 1, 4) and its turns, but the triangle rule forbids
+    # them; their traces cancel only across m2 blocks, not at a finite cut,
+    # so a core that let them in drifts from the naive trace (by 8e-12
+    # relative in the d = 2 case).  abs=0: approx's default absolute
+    # tolerance of 1e-12 would swamp the relative one on traces this small.
+    den = DensitySpec.zonal(d, coeffs)
+    assert (1, 1, 4) not in _coupled_triples(den)
+    want = _naive_cubic_trace(den, exps, gamma, 30)
+    with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
+        got, = _cubic_core(den, exps, gamma, (30,))
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @given(den=zonal_densities())
