@@ -24,7 +24,7 @@ from .sumrules import (EpsilonCoeffs, SumRuleResult, closed_form_reference,
                        density_integrals, epsilon_closed, epsilon_recursive,
                        p_min, sum_rule, sum_rule_shifted, zeta_uniform)
 from .weyl import (DeltaSample, WeylModel, delta, delta_model, fit_delta,
-                   hurwitz_zeta, hybrid_sum_rule, hyp2f1, uniform_prefactor,
+                   hurwitz_zeta, hybrid_sum_rule, uniform_prefactor,
                    weyl_model)
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "basis_size", "closed_form_reference", "coupling_W", "degeneracy",
     "delta", "delta_model", "density_integrals", "eigenvalue",
     "epsilon_closed", "epsilon_recursive", "fit_delta", "green_closed_form",
-    "green_spectral", "hurwitz_zeta", "hybrid_sum_rule", "hyp2f1",
+    "green_spectral", "hurwitz_zeta", "hybrid_sum_rule",
     "kappa_bound", "p_min", "pair_strength", "partial_sum", "sphere_volume",
     "sum_rule", "sum_rule_shifted", "solve_spectrum", "truncated_basis",
     "uniform_prefactor", "weyl_model", "zeta_uniform",

@@ -40,8 +40,7 @@ __all__ = [
     "HarmonicIndex", "degeneracy", "eigenvalue", "sphere_volume",
     "gegenbauer", "gegenbauer_all", "gegenbauer_at_one", "log_gegenbauer_at_one",
     "eval_harmonic", "coupling_W", "zonal_coupling_w", "zonal_band_diagonals",
-    "zonal_band_matrix", "addition_eval", "pair_strength", "log_degeneracy",
-    "enumerate_m",
+    "addition_eval", "pair_strength", "log_degeneracy", "enumerate_m",
 ]
 
 # ----------------------------------------------------------------------
@@ -417,25 +416,6 @@ def zonal_coupling_w(d, L, l1, l2, m2):
     lo, hi = sorted((l1, l2))
     diag = zonal_band_diagonals(d, L, [m2], hi - m2 + 1)
     return float(diag[hi - lo, 0, lo - m2])
-
-
-def zonal_band_matrix(d, L, m2, l_lo, l_hi):
-    """Matrix of w_L(l, l', m2) for l, l' in [l_lo, l_hi] (band |l-l'| <= L).
-
-    A dense view of `zonal_band_diagonals` for block assembly; rows and
-    columns of degree below m2 couple to nothing and stay zero.
-    """
-    size = l_hi - l_lo + 1
-    out = np.zeros((size, size))
-    first = max(l_lo, m2)
-    if first > l_hi:
-        return out
-    diag = zonal_band_diagonals(d, L, [m2], l_hi - m2 + 1)[:, 0, first - m2:]
-    k = first - l_lo
-    for o in range(L % 2, min(L, size - 1 - k) + 1, 2):
-        i = np.arange(k, size - o)
-        out[i, i + o] = out[i + o, i] = diag[o, :size - k - o]
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,14 @@ ell_max - m2 + 1, each carrying the degeneracy of the sphere one dimension
 down as its multiplicity; that fast path turns one dense solve of dimension
 in the tens of thousands into ell_max + 1 small ones.
 
-Each zonal block's B is banded, of bandwidth the density's top degree.  In
-the blocks with m2 >= 1 every lambda_ell is positive, so the pencil is the
-symmetric band matrix A^{-1/2} B A^{-1/2}, whose eigenvalues are 1/E: those
-blocks keep B in band storage and are solved as band problems.  The m2 = 0
-block, which holds the zero mode, and the full non-zonal matrix are dense.
+Each zonal block's B is banded, of bandwidth the density's top degree,
+and every block is built by one builder from one Jacobi band grid per
+degree and chunk of m2 rows.  In the blocks with m2 >= 1 every lambda_ell
+is positive, so the pencil is the symmetric band matrix A^{-1/2} B A^{-1/2},
+whose eigenvalues are 1/E: those blocks keep B in band storage and are
+solved as band problems.  The m2 = 0 block, which holds the zero mode, is
+expanded from its bands into a dense matrix; the full non-zonal matrix is
+dense too.
 """
 
 import math
@@ -149,31 +152,34 @@ def _assemble_full(d, ell_max, density):
     return GeneralizedProblem(d, ell_max, (block,), density)
 
 
-def _zonal_block(d, ell_max, zc, m2):
-    """The m2 block of a zonal density with coefficients zc = {L: c_L}."""
-    ls = np.arange(m2, ell_max + 1)
-    stiffness = ls * (ls + d - 1.0)
-    overlap = np.eye(len(ls))
-    for L, c in zc.items():
-        overlap += c * harmonics.zonal_band_matrix(d, L, m2, m2, ell_max)
-    _check_spd(overlap, "dense", "m2=%d block" % m2)
-    mult = harmonics.degeneracy(d - 1, m2)
-    return ProblemBlock(m2, mult, stiffness, overlap, "dense")
+def _band_to_dense(band):
+    """The symmetric matrix behind lower band storage."""
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for o, row in enumerate(band):
+        i = np.arange(n - o)
+        dense[i + o, i] = dense[i, i + o] = row[:n - o]
+    return dense
 
 
-def _zonal_band_blocks(d, ell_max, zc):
-    """The m2 >= 1 blocks of a zonal density, their overlaps in band storage.
+def _zonal_blocks(d, ell_max, zc, stop=None):
+    """The blocks m2 < stop (default ell_max + 1, every block) of a zonal
+    density with coefficients zc = {L: c_L}.
 
     The bands come from one `zonal_band_diagonals` grid per degree and
-    chunk of m2 rows.  Each entry is formed as in `_zonal_block`, 1 on the
-    diagonal plus c_L w_L over the degrees in turn, so it is bitwise the
-    dense block's.  A block of size n keeps min(bandwidth, n - 1) + 1 rows.
+    chunk of m2 rows, each entry 1 on the diagonal plus c_L w_L over the
+    degrees in turn.  A block of size n keeps min(bandwidth, n - 1) + 1
+    rows in band storage.  The m2 = 0 block holds the zero mode, whose
+    zero stiffness rules out the band solve, so its bands are expanded into
+    the symmetric dense matrix.
     """
+    if stop is None:
+        stop = ell_max + 1
     width = max(zc, default=0)
     offsets = np.arange(width + 1).reshape(-1, 1, 1)
     blocks = []
-    for first in range(1, ell_max + 1, _BAND_CHUNK_ROWS):
-        m2 = np.arange(first, min(first + _BAND_CHUNK_ROWS, ell_max + 1))
+    for first in range(0, stop, _BAND_CHUNK_ROWS):
+        m2 = np.arange(first, min(first + _BAND_CHUNK_ROWS, stop))
         size = ell_max - first + 1
         bands = np.zeros((width + 1, len(m2), size))
         bands[0] = 1.0
@@ -186,17 +192,18 @@ def _zonal_band_blocks(d, ell_max, zc):
             n = ell_max - m + 1
             rows = min(width, n - 1) + 1
             overlap = np.ascontiguousarray(bands[:rows, r, :n])
-            _check_spd(overlap, "band", "m2=%d block" % m)
+            storage = "band"
+            if m == 0:
+                overlap, storage = _band_to_dense(overlap), "dense"
+            _check_spd(overlap, storage, "m2=%d block" % m)
             ls = np.arange(m, ell_max + 1)
             blocks.append(ProblemBlock(m, harmonics.degeneracy(d - 1, m),
-                                       ls * (ls + d - 1.0), overlap, "band"))
+                                       ls * (ls + d - 1.0), overlap, storage))
     return blocks
 
 
 def _assemble_zonal(d, ell_max, density):
-    zc = density.zonal_coeffs()
-    blocks = (_zonal_block(d, ell_max, zc, 0),
-              *_zonal_band_blocks(d, ell_max, zc))
+    blocks = tuple(_zonal_blocks(d, ell_max, density.zonal_coeffs()))
     return GeneralizedProblem(d, ell_max, blocks, density)
 
 

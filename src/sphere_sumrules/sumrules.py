@@ -53,7 +53,7 @@ DEFAULT_ELL_CUT = 200
 
 # Largest accepted cutoff.  Every band sum up to it fits in memory as a
 # float array; the cubic trace's time grows like its square and its
-# working set linearly.
+# working set linearly, so the trace has its own budget, _CUBIC_MAX_BYTES.
 MAX_ELL_CUT = 10 ** 6
 
 _ORDER_COUNT = {"I1": 1, "I2": 2, "I3": 3, "J1": 2, "J2": 3}
@@ -236,6 +236,10 @@ def _cubic_powers(exps, gamma):
 # default cutoff.
 _CUBIC_CHUNK_ROWS = 32
 
+# Largest working set of a cubic trace, 1 GiB; about ell_cut = 44000 for
+# degrees {1, 2, 3}.
+_CUBIC_MAX_BYTES = 2 ** 30
+
 
 def _cubic_core(density, exps, gamma, cuts):
     """Triple trace over sigma insertions, truncated at each degree in cuts.
@@ -326,6 +330,39 @@ def _cubic_core(density, exps, gamma, cuts):
     return total
 
 
+def _cubic_bytes(density, lcut):
+    """Bytes `_cubic_core` holds at once for the density's trace at lcut
+    and its inner cut.
+
+    Counted in arrays of `_CUBIC_CHUNK_ROWS` rows by the padded grid's
+    lcut + 1 + 2 top columns, k = 2 cuts: the degrees l, and lam and three
+    weights per cut; per degree L its L + 1 diagonals, (L + 1) // 2
+    negative-offset bands, and L + 1 A and C bands per cut; up to top + 1
+    chain bands per cut and 2k + 1 temporaries of a contraction; and six
+    (top + 1)-band arrays of the Jacobi recurrence while a chunk's
+    diagonals are built.
+    """
+    k = 2
+    degrees = density.rho_by_degree()
+    top = max(degrees)
+    arrays = (1 + 4 * k + (k + 6) * (top + 1) + 2 * k + 1
+              + sum((L + 1) * (1 + 2 * k) + (L + 1) // 2 for L in degrees))
+    rows = min(_CUBIC_CHUNK_ROWS, lcut + 1)
+    return 8 * rows * (lcut + 1 + 2 * top) * arrays
+
+
+def _check_cubic_budget(density, lcut):
+    """Reject, before any sum runs, a cut whose cubic trace would need more
+    than _CUBIC_MAX_BYTES."""
+    if not _coupled_triples(density):
+        return
+    need = _cubic_bytes(density, lcut)
+    if need > _CUBIC_MAX_BYTES:
+        raise ValidationError(
+            "ell_cut=%d needs %.1f GB for this density's cubic trace, above "
+            "its %.1f GB budget" % (lcut, need / 1e9, _CUBIC_MAX_BYTES / 1e9))
+
+
 def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
     """Cubic trace with a shell-difference truncation estimate.
 
@@ -385,7 +422,7 @@ def _zero_mode_block(density, ell_cut):
     d = density.d
     if density.is_zonal:
         zc = density.zonal_coeffs()
-        block = rayleigh_ritz._zonal_block(d, ell_cut, zc, 0)
+        block, = rayleigh_ritz._zonal_blocks(d, ell_cut, zc, stop=1)
         c = np.zeros(ell_cut + 1)
         c[list(zc)] = list(zc.values())
         return block.overlap, _green(block.stiffness), c
@@ -451,6 +488,7 @@ def _J2(q, p, r, density, switch):
     if s < p_min(d):
         raise DivergentSumError(
             "divergent trace J2(%d,%d,%d) for d=%d" % (q, p, r, d))
+    _check_cubic_budget(density, switch)
     value, err = _spectral_trace(d, s, 0.0, switch)
     # the three insertions share their band sums when orders coincide
     # (all three at J2(0, 0, 0)); each distinct one is taken once
@@ -567,8 +605,8 @@ def epsilon_recursive(density, order, ell_cut=None):
             "ell_cut=%d cannot hold order-%d corrections (need >= %d)"
             % (ell_cut, order, needed))
     if density.is_zonal:
-        block = rayleigh_ritz._zonal_block(density.d, ell_cut,
-                                           density.zonal_coeffs(), 0)
+        block, = rayleigh_ritz._zonal_blocks(density.d, ell_cut,
+                                             density.zonal_coeffs(), stop=1)
     else:
         block = rayleigh_ritz.assemble(density.d, ell_cut, density).blocks[0]
     B, ginv = block.overlap, _green(block.stiffness)
@@ -690,6 +728,8 @@ def sum_rule_shifted(d, p, density, gamma, ell_cut=None):
     gamma = _check_gamma(gamma)
     ell_cut = _check_ell_cut(ell_cut)
     switch = max(DEFAULT_ELL_CUT, ell_cut or 0, density.ell_max + 1)
+    if p == 3:
+        _check_cubic_budget(density, switch)
     vol = harmonics.sphere_volume(d)
     eps = epsilon_closed(density).eps
     try:

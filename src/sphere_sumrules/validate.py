@@ -244,18 +244,6 @@ def _hybrid_identity():
     return abs(abs(res.value - exact) - res.trunc_error)
 
 
-def _hypergeometric():
-    worst = 0.0
-    for z in (0.3, 0.9):
-        got = weyl.hyp2f1(-2.5, 2.5, 5.0, z)
-        total, term = 0.0, 1.0
-        for n in range(500):
-            total += term
-            term *= (n - 2.5) * (n + 2.5) / ((n + 5.0) * (n + 1.0)) * z
-        worst = max(worst, abs(got - total))
-    return worst
-
-
 CHECKS = (
     ("harmonics", "orthonormality", _orthonormality, 1e-10),
     ("harmonics", "addition-theorem", _addition_theorem, 1e-12),
@@ -280,7 +268,6 @@ CHECKS = (
     ("rayleigh_ritz", "zero-mode-survives", _zero_mode, 1e-10),
     ("weyl", "prefactor-vs-counting", _prefactor_consistency, 1e-10),
     ("weyl", "hybrid-error-identity", _hybrid_identity, 1e-12),
-    ("weyl", "hypergeometric-vs-series", _hypergeometric, 1e-12),
 )
 
 

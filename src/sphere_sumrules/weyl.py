@@ -25,42 +25,6 @@ from .errors import (DivergentSumError, NonConvergenceError, ValidationError)
 from .quadrature import quadrature
 from .sumrules import SumRuleResult, _check_sum_rule_orders, p_min, zeta_uniform
 
-_HYP_TOL = 1e-12
-
-
-def hyp2f1(a, b, c, z):
-    """Gauss hypergeometric 2F1(a, b; c; z) for c > b > 0 and 0 <= z < 1.
-
-    Evaluated through the Euler integral with a Gauss-Jacobi rule that
-    absorbs the t^(b-1) (1-t)^(c-b-1) weight exactly, doubling the node
-    count until two successive values agree to 1e-12.
-    """
-    if not c > b > 0:
-        raise ValidationError(
-            "the Euler integral needs c > b > 0, got b=%r c=%r" % (b, c))
-    if not 0.0 <= z < 1.0:
-        raise ValidationError(
-            "argument must satisfy 0 <= z < 1, got %r" % (z,))
-    if z == 0.0:
-        return 1.0
-    prefactor = math.exp(math.lgamma(c) - math.lgamma(b) - math.lgamma(c - b)
-                         - (c - 1.0) * math.log(2.0))
-    previous = None
-    npoints = 16
-    while npoints <= 512:
-        nodes, weights = special.roots_jacobi(npoints, c - b - 1.0, b - 1.0)
-        t = 0.5 * (1.0 + nodes)
-        value = prefactor * float(np.dot(weights, (1.0 - z * t) ** (-a)))
-        if previous is not None and abs(value - previous) <= _HYP_TOL * max(
-                1.0, abs(value)):
-            return value
-        previous = value
-        npoints *= 2
-    raise NonConvergenceError(
-        "hypergeometric quadrature did not settle at 512 nodes for "
-        "(%r, %r; %r; %r)" % (a, b, c, z))
-
-
 def hurwitz_zeta(s, a):
     """Hurwitz zeta sum_{n>=0} (n+a)^(-s) for s > 1, a > 0."""
     if s <= 1.0:
@@ -128,7 +92,7 @@ def _closed_prefactor(d, kappa):
             raise ValidationError(
                 "cube-root argument is nonpositive for kappa=%r" % (kappa,))
         z = 2.0 * math.sqrt(2.0) * kappa / (math.sqrt(2.0) * kappa + pi)
-        f3 = hyp2f1(-1.5, 1.5, 3.0, z)
+        f3 = float(special.hyp2f1(-1.5, 1.5, 3.0, z))
         return (2.0 ** (1.0 / 6.0) * 3.0 ** (2.0 / 3.0) * pi
                 / (cubic ** (1.0 / 3.0) * f3 ** (2.0 / 3.0)))
     if d == 4:
@@ -137,7 +101,7 @@ def _closed_prefactor(d, kappa):
     if d == 5:
         z = (2.0 * math.sqrt(6.0) * kappa
              / (pi ** 1.5 + math.sqrt(6.0) * kappa))
-        f5 = hyp2f1(-2.5, 2.5, 5.0, z)
+        f5 = float(special.hyp2f1(-2.5, 2.5, 5.0, z))
         return (60.0 ** 0.4 * pi ** 1.5
                 / ((pi ** 1.5 + math.sqrt(6.0) * kappa) * f5 ** 0.4))
     raise ValidationError(

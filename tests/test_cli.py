@@ -12,6 +12,8 @@ from sphere_sumrules import cli
 from sphere_sumrules.sumrules import (MAX_ELL_CUT, closed_form_reference,
                                       zeta_uniform)
 
+from test_sumrules import _sums_forbidden
+
 
 def run_cli(capsys, argv):
     """Invoke the CLI in-process, returning (exit_code, stdout, stderr)."""
@@ -102,6 +104,19 @@ def test_exact_cutoff_above_ceiling_exits_one(capsys, cut):
                                       "--kappa", "1", "--ell-cut", cut])
     assert code == 1
     assert "above the supported ceiling" in err
+    assert out == ""
+
+
+def test_exact_cubic_trace_past_its_budget_exits_one(capsys):
+    # a cut under the ceiling whose cubic trace would need gigabytes; the
+    # sums are stubbed out, so a missing check fails here instead of
+    # allocating them
+    with _sums_forbidden():
+        code, out, err = run_cli(capsys, [
+            "exact", "--d", "3", "--p", "3", "--coeffs",
+            str(DATA / "zonal_d3.json"), "--ell-cut", "1000000"])
+    assert code == 1
+    assert "cubic trace" in err
     assert out == ""
 
 
@@ -367,6 +382,8 @@ DATA = pathlib.Path(__file__).parent / "data"
     ("exact --d 3 --p 2 --coeffs nonzonal_d3.json",
      "exact_d3_p2_nonzonal.csv"),
     ("hybrid --d 3 --p 3 --kappa 0:2:0.5 --lmax 30", "hybrid_d3_p3_kappa.csv"),
+    ("hybrid --d 5 --p 3 --kappa 0:1.5:0.25 --lmax 12",
+     "hybrid_d5_p3_kappa.csv"),
 ])
 def test_default_output_matches_golden_file(capsys, argv, golden):
     """Default CSV output, byte for byte.

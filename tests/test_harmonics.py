@@ -30,7 +30,7 @@ from sphere_sumrules.harmonics import (
     pair_strength,
     pair_strength_offset,
     sphere_volume,
-    zonal_band_matrix,
+    zonal_band_diagonals,
     zonal_coupling_w,
 )
 
@@ -328,11 +328,15 @@ def test_zonal_coupling_selection_rules():
 
 
 def test_zonal_band_matrix_matches_entries():
-    d, L, m2, lo, hi = 3, 2, 1, 1, 6
-    band = zonal_band_matrix(d, L, m2, lo, hi)
-    for i, l1 in enumerate(range(lo, hi + 1)):
-        for j, l2 in enumerate(range(lo, hi + 1)):
-            assert band[i, j] == pytest.approx(
+    # diagonal o holds w_L(l, l + o) at l = m2 + n; offsets of the wrong
+    # parity and pairs past the band hold zeros
+    d, L, m2, hi = 3, 2, 1, 6
+    diag = zonal_band_diagonals(d, L, [m2], hi - m2 + 1)
+    for l1 in range(m2, hi + 1):
+        for l2 in range(l1, hi + 1):
+            o = l2 - l1
+            got = diag[o, 0, l1 - m2] if o <= L else 0.0
+            assert got == pytest.approx(
                 zonal_coupling_w(d, L, l1, l2, m2), rel=1e-12, abs=1e-15)
 
 
@@ -379,23 +383,18 @@ def test_zonal_band_matrix_matches_mpmath_jacobi_reference():
         for L in (2, 3):
             for m2 in (0, 17, 40):
                 want = _mp_zonal_band(d, L, m2, 60)
-                got = zonal_band_matrix(d, L, m2, m2, 60)
+                got = zonal_band_diagonals(d, L, [m2], 61 - m2)[:, 0]
                 scale = np.max(np.abs(want))
-                assert np.max(np.abs(got - want)) <= 1e-14 * scale
+                for o in range(L + 1):
+                    err = got[o, :61 - m2 - o] - np.diag(want, o)
+                    assert np.max(np.abs(err)) <= 1e-14 * scale
 
 
 def test_zonal_band_matrix_finite_at_large_order():
     # Gauss-Jacobi rules fail to converge around this order and degree
-    band = zonal_band_matrix(3, 3, 301, 301, 740)
+    band = zonal_band_diagonals(3, 3, [301], 740 - 301 + 1)
     assert np.isfinite(band).all()
     assert np.abs(band).max() > 0.0
-
-
-def test_zonal_band_matrix_rows_below_m2_are_zero():
-    band = zonal_band_matrix(4, 2, 3, 1, 8)
-    assert not band[:2].any() and not band[:, :2].any()
-    assert np.allclose(band[2:, 2:], zonal_band_matrix(4, 2, 3, 3, 8),
-                       rtol=0, atol=0)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ The density couples degrees but, for zonal densities, never mixes the
 deeper m-chain, so the truncated problem splits into one tridiagonal-like
 band block per leading azimuthal class.  Tests pin the block layout, the
 full-matrix dual route, exact uniform spectra, a hand-solved 2x2 pencil,
-the variational upper-bound property, the band storage of the m2 >= 1
-blocks against the dense band matrices, and the band solver against dense
+the variational upper-bound property, every block's overlap against the
+dense band matrices of its couplings, and the band solver against dense
 solves and a 30-digit mpmath reference.
 """
 
@@ -22,11 +22,10 @@ from sphere_sumrules import harmonics
 from sphere_sumrules import rayleigh_ritz as rr
 from sphere_sumrules.density import DensitySpec, kappa_bound
 from sphere_sumrules.errors import ValidationError
-from sphere_sumrules.harmonics import (HarmonicIndex, coupling_W,
-                                       zonal_band_matrix)
+from sphere_sumrules.harmonics import HarmonicIndex, coupling_W
 
 from test_density import _rotated_tilt
-from test_zonal_properties import zonal_densities
+from test_zonal_properties import _zonal_band_matrix, zonal_densities
 
 
 def test_basis_size_reference_counts():
@@ -220,12 +219,14 @@ def test_indefinite_overlap_rejected():
 
 
 def test_indefinite_band_block_rejected_in_assembly():
-    # inflate the couplings of the band blocks only: the dense m2 = 0 block
-    # still passes, and the first band block's Cholesky check must fail
+    # inflate the couplings of the m2 >= 1 rows only: the dense m2 = 0
+    # block still passes, and the first band block's Cholesky check must
+    # fail
     bands = harmonics.zonal_band_diagonals
 
     def inflated(d, L, m2, size):
-        return bands(d, L, m2, size) * (1.0 if min(m2) == 0 else 100.0)
+        scale = np.where(np.asarray(m2) == 0, 1.0, 100.0)[:, None]
+        return bands(d, L, m2, size) * scale
 
     with mock.patch.object(harmonics, "zonal_band_diagonals", inflated):
         with pytest.raises(ValidationError, match="the density is not "
@@ -246,25 +247,30 @@ def _dense_lower_band(matrix, width):
 @given(den=zonal_densities(), ell_max=st.integers(1, 20),
        chunk=st.integers(1, 8))
 def test_band_blocks_match_dense_band_matrices(den, ell_max, chunk):
-    # every m2 >= 1 overlap, bitwise: 1 + sum_L c_L w_L from the dense
-    # band matrices, taken in the same order; small chunks put chunk
-    # boundaries inside the grid
+    # every overlap, bitwise: 1 + sum_L c_L w_L from the dense band
+    # matrices, taken in the same order, as the dense m2 = 0 block and in
+    # lower band storage for m2 >= 1; small chunks put chunk boundaries
+    # inside the grid
     d, zc = den.d, den.zonal_coeffs()
     with mock.patch.object(rr, "_BAND_CHUNK_ROWS", chunk):
         prob = rr.assemble(d, ell_max, den)
     assert [b.label for b in prob.blocks] == list(range(ell_max + 1))
-    assert prob.blocks[0].storage == "dense"
-    for block in prob.blocks[1:]:
+    for block in prob.blocks:
         m2 = block.label
-        dense = np.eye(ell_max - m2 + 1)
+        n = ell_max - m2 + 1
+        dense = np.eye(n)
         for L, c in zc.items():
-            dense += c * zonal_band_matrix(d, L, m2, m2, ell_max)
+            dense += c * _zonal_band_matrix(d, L, m2, n)
         ls = np.arange(m2, ell_max + 1)
-        assert block.storage == "band"
         assert block.multiplicity == harmonics.degeneracy(d - 1, m2)
         assert np.array_equal(block.stiffness, ls * (ls + d - 1.0))
-        assert np.array_equal(block.overlap,
-                              _dense_lower_band(dense, den.ell_max))
+        if m2 == 0:
+            assert block.storage == "dense"
+            assert np.array_equal(block.overlap, dense)
+        else:
+            assert block.storage == "band"
+            assert np.array_equal(block.overlap,
+                                  _dense_lower_band(dense, den.ell_max))
 
 
 def _dense_overlap(block):

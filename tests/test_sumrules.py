@@ -6,7 +6,10 @@ expressions in kappa; and the full engine is checked against the quartic/
 sextic closed forms for (d, p) in {(3,2), (3,3), (4,3), (5,3)}.
 """
 
+import bisect
+import contextlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import zeta
 
-from sphere_sumrules import rayleigh_ritz
+from sphere_sumrules import rayleigh_ritz, sumrules
 from sphere_sumrules.density import DensitySpec, kappa_bound
 from sphere_sumrules.errors import (
     CutoffTooSmallError,
@@ -27,7 +30,11 @@ from sphere_sumrules.errors import (
 from sphere_sumrules.harmonics import HarmonicIndex, sphere_volume
 from sphere_sumrules.sumrules import (
     MAX_ELL_CUT,
+    _CUBIC_MAX_BYTES,
+    _check_cubic_budget,
     _check_ell_cut,
+    _cubic_bytes,
+    _cubic_trace,
     closed_form_reference,
     density_integrals,
     epsilon_closed,
@@ -246,11 +253,11 @@ def test_epsilon_on_non_zonal_density():
 
 def test_epsilon_on_zonal_density_builds_only_the_zero_mode_block():
     den = DensitySpec.zonal(3, {1: 0.3, 2: 0.2, 3: 0.1})
-    with mock.patch.object(rayleigh_ritz, "_zonal_block",
-                           wraps=rayleigh_ritz._zonal_block) as build:
+    with mock.patch.object(rayleigh_ritz, "_zonal_blocks",
+                           wraps=rayleigh_ritz._zonal_blocks) as build:
         epsilon_recursive(den, 4)
     assert build.call_count == 1
-    assert build.call_args.args[3] == 0
+    assert build.call_args.kwargs["stop"] == 1
 
 
 @pytest.mark.parametrize("den", [
@@ -260,7 +267,7 @@ def test_epsilon_on_zonal_density_builds_only_the_zero_mode_block():
                                 HarmonicIndex(3, 2, (0, 0)): 0.1})],
     ids=["zonal", "non-zonal"])
 def test_epsilon_default_cutoff_is_the_smallest_accepted(den):
-    build = "_zonal_block" if den.is_zonal else "assemble"
+    build = "_zonal_blocks" if den.is_zonal else "assemble"
     for k in (1, 2, 3, 4):
         smallest = k * den.ell_max
         with mock.patch.object(rayleigh_ritz, build,
@@ -441,6 +448,59 @@ def test_cutoff_must_be_a_non_negative_integer(cut):
 def test_ceiling_is_at_least_a_million():
     assert MAX_ELL_CUT >= 10 ** 6
     assert _check_ell_cut(MAX_ELL_CUT) == MAX_ELL_CUT
+
+
+@contextlib.contextmanager
+def _sums_forbidden():
+    """Make any degree sum or cubic trace fail the test instead of running."""
+    with contextlib.ExitStack() as stack:
+        for name in ("_spectral_trace", "_band_sum", "_cubic_core"):
+            stack.enter_context(mock.patch.object(
+                sumrules, name, side_effect=AssertionError(name)))
+        yield
+
+
+def test_cubic_trace_past_its_budget_is_rejected_before_any_sum():
+    # at ell_cut = 10**6 this trace would need some 17 GB; the check only
+    # counts bytes, and no degree sum or trace may run before it
+    den = DensitySpec.zonal(3, {1: 0.1, 2: 0.05})
+    with _sums_forbidden():
+        for call in (
+                lambda: sum_rule(3, 3, den, ell_cut=10 ** 6),
+                lambda: sum_rule_shifted(3, 3, den, 1e-2, ell_cut=10 ** 6),
+                lambda: density_integrals("J2", (0, 0, 0), den,
+                                          ell_cut=10 ** 6)):
+            with pytest.raises(ValidationError, match="cubic trace"):
+                call()
+
+
+def test_cubic_budget_admits_cutoffs_up_to_its_bound():
+    # the largest cut whose byte count fits passes, the next one does not;
+    # a density with no coupled triple has no cubic trace to bound
+    den = DensitySpec.zonal(4, {1: 0.1, 2: 0.05, 3: 0.02})
+    cut = bisect.bisect_right(range(MAX_ELL_CUT + 1), _CUBIC_MAX_BYTES,
+                              key=lambda c: _cubic_bytes(den, c)) - 1
+    assert 10 ** 4 < cut < MAX_ELL_CUT
+    _check_cubic_budget(den, cut)
+    with pytest.raises(ValidationError):
+        _check_cubic_budget(den, cut + 1)
+    _check_cubic_budget(DensitySpec.tilted(4, 1.0), MAX_ELL_CUT)
+
+
+@pytest.mark.parametrize("coeffs", [{2: 0.1}, {1: 0.1, 4: 0.05},
+                                    {1: 0.1, 2: 0.05, 3: 0.02, 4: 0.01}])
+def test_cubic_bytes_bound_the_traced_peak(coeffs):
+    # the budget's count is an upper bound on the trace's working set, and
+    # not a loose one
+    den = DensitySpec.zonal(3, coeffs)
+    tracemalloc.start()
+    try:
+        _cubic_trace(den, (0, 0, 0), None, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = _cubic_bytes(den, 300)
+    assert peak <= bound <= 2.0 * peak
 
 
 def test_integral_float_cutoff_is_the_integer_cutoff():

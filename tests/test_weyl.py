@@ -1,8 +1,7 @@
 """Smoothed level asymptotics, hybrid tail completion, and tail-gap fits.
 
-The hypergeometric evaluator is checked against both a direct power series
-and scipy; the closed level prefactors are cross-checked internally against
-the counting-integral route (the model constructor enforces agreement at
+The closed level prefactors are cross-checked internally against the
+counting-integral route (the model constructor enforces agreement at
 1e-8, so constructing a model is itself a dual-route test).
 """
 
@@ -23,37 +22,6 @@ PI = math.pi
 
 # ----------------------------------------------------------------------
 # special functions
-
-
-def _series_2f1(a, b, c, z, terms=400):
-    total, term = 0.0, 1.0
-    for n in range(terms):
-        total += term
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-    return total
-
-
-def test_hypergeometric_at_origin_and_tiny_z():
-    assert weyl.hyp2f1(-1.5, 1.5, 3.0, 0.0) == 1.0
-    z = 1e-7
-    got = weyl.hyp2f1(-1.5, 1.5, 3.0, z)
-    assert got == pytest.approx(1.0 - 0.75 * z, abs=1e-12)
-
-
-def test_hypergeometric_against_series_and_scipy():
-    got = weyl.hyp2f1(-2.5, 2.5, 5.0, 0.5)
-    assert got == pytest.approx(_series_2f1(-2.5, 2.5, 5.0, 0.5), abs=1e-10)
-    for z in (0.1, 0.5, 0.9, 0.99, 0.9995):
-        for a, b, c in ((-1.5, 1.5, 3.0), (-2.5, 2.5, 5.0)):
-            want = float(special.hyp2f1(a, b, c, z))
-            assert weyl.hyp2f1(a, b, c, z) == pytest.approx(want, abs=1e-11)
-
-
-def test_hypergeometric_domain_guards():
-    with pytest.raises(ValidationError):
-        weyl.hyp2f1(-1.5, 1.5, 3.0, 1.0)
-    with pytest.raises(ValidationError):
-        weyl.hyp2f1(-1.5, 3.0, 1.5, 0.3)    # needs c > b > 0
 
 
 def test_hurwitz_zeta_values():

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from sphere_sumrules.density import DensitySpec
 from sphere_sumrules.harmonics import (HarmonicIndex, coupling_W, degeneracy,
                                        enumerate_m, sphere_volume,
-                                       zonal_band_matrix)
+                                       zonal_band_diagonals)
 from sphere_sumrules import rayleigh_ritz, sumrules
 from sphere_sumrules.sumrules import (_coupled_triples, _cubic_core,
                                       epsilon_closed, epsilon_recursive,
@@ -42,13 +42,24 @@ def zonal_densities(draw):
     return DensitySpec.zonal(d, {L: c * scale for L, c in raw.items()})
 
 
+def _zonal_band_matrix(d, L, m2, n):
+    """Dense w_L(l, l', m2) for m2 <= l, l' < m2 + n, scattered from the
+    diagonals of `zonal_band_diagonals`."""
+    diag = zonal_band_diagonals(d, L, [m2], n)[:, 0]
+    out = np.zeros((n, n))
+    for o in range(L % 2, min(L, n - 1) + 1, 2):
+        i = np.arange(n - o)
+        out[i, i + o] = out[i + o, i] = diag[o, :n - o]
+    return out
+
+
 @given(den=zonal_densities(), data=st.data())
 def test_band_entries_match_generic_coupling(den, data):
     d = den.d
     L = data.draw(st.sampled_from(sorted(den.zonal_coeffs())))
     m2 = data.draw(st.integers(0, 6))
     l_hi = m2 + data.draw(st.integers(L, 10))
-    band = zonal_band_matrix(d, L, m2, m2, l_hi)
+    band = _zonal_band_matrix(d, L, m2, l_hi - m2 + 1)
     l1 = data.draw(st.integers(m2, l_hi))
     l2 = data.draw(st.integers(max(m2, l1 - L), min(l_hi, l1 + L)))
     # any admissible m-vector with leading entry m2 shares the reduced value
@@ -74,7 +85,9 @@ def _naive_cubic_trace(den, exps, gamma, lcut):
         ls = np.arange(lo, lcut + 1, dtype=float)
         lam = ls * (ls + d - 1) + shift
         D = [np.diag(lam ** -pw) for pw in powers]
-        W = {L: zonal_band_matrix(d, L, m2, lo, lcut) for L in zc}
+        k = lo - m2
+        W = {L: _zonal_band_matrix(d, L, m2, lcut - m2 + 1)[k:, k:]
+             for L in zc}
         for L1, L2, L3 in _coupled_triples(den):
             chain = D[0] @ W[L2] @ D[1] @ W[L3] @ D[2] @ W[L1]
             total += (degeneracy(d - 1, m2) * zc[L1] * zc[L2] * zc[L3]
@@ -92,7 +105,9 @@ def test_cubic_core_matches_naive_trace(den, lcut, exps, gamma, chunk):
     # small chunks put chunk boundaries inside the grid
     with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
         got, = _cubic_core(den, exps, gamma, (lcut,))
-    assert got == pytest.approx(want, rel=1e-12)
+    # abs=0: approx's default absolute tolerance of 1e-12 would swamp the
+    # relative one on every trace below 1
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("d, coeffs, exps, gamma", [
