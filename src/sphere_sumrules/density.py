@@ -11,15 +11,16 @@ family Sigma = 1 + kappa Y_{1,0} (a tilt along the polar axis) gets an exact
 positivity bound |kappa| < sqrt(Vol/(d+1)) instead of a sampled one.
 """
 
+import cmath
 from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from . import harmonics
-from .errors import ValidationError
+from .errors import ValidationError, check_dimension, check_integer
 
-__all__ = ["DensitySpec", "kappa_bound"]
+__all__ = ["DensitySpec", "check_density", "check_kappa", "kappa_bound"]
 
 _GRID_POINTS = 2048
 _REALITY_TOL = 1e-10
@@ -28,6 +29,22 @@ _REALITY_TOL = 1e-10
 def kappa_bound(d):
     """Exact positivity threshold sqrt(Vol(S^d)/(d+1)) for the tilt family."""
     return math.sqrt(harmonics.sphere_volume(d) / (d + 1))
+
+
+def check_kappa(d, kappa):
+    """The tilt kappa as a float inside the positivity bound on S^d."""
+    d = check_integer(d, "sphere dimension d", least=2, most=None)
+    try:
+        kappa = float(kappa)
+    except (TypeError, ValueError):
+        raise ValidationError("kappa must be a number, got %r"
+                              % (kappa,)) from None
+    bound = kappa_bound(d)
+    if not abs(kappa) < bound:
+        raise ValidationError(
+            "kappa=%g violates the positivity bound |kappa| < %.6g for d=%d"
+            % (kappa, bound, d))
+    return kappa
 
 
 def _zonal_profile(d, zcoeffs, x):
@@ -66,9 +83,8 @@ class DensitySpec:
     entries: tuple = ()
 
     def __post_init__(self):
-        if self.d < 2 or self.d != int(self.d):
-            raise ValidationError("need integer sphere dimension d >= 2, got %r"
-                                  % (self.d,))
+        object.__setattr__(self, "d", check_integer(
+            self.d, "sphere dimension d", least=2, most=None))
         cleaned = []
         seen = set()
         for idx, c in self.entries:
@@ -85,6 +101,9 @@ class DensitySpec:
                 raise ValidationError("duplicate coefficient for %r" % (idx,))
             seen.add(idx)
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValidationError("coefficient of %r is not finite: %r"
+                                      % (idx, c))
             if c != 0:
                 cleaned.append((idx, c))
         cleaned.sort(key=lambda item: (item[0].ell, item[0].m))
@@ -102,12 +121,7 @@ class DensitySpec:
     @classmethod
     def tilted(cls, d, kappa):
         """The one-parameter family Sigma = 1 + kappa Y_{1,0}."""
-        kappa = float(kappa)
-        bound = kappa_bound(d)
-        if not abs(kappa) < bound:
-            raise ValidationError(
-                "kappa=%g violates the positivity bound |kappa| < %.6g for d=%d"
-                % (kappa, bound, d))
+        kappa = check_kappa(d, kappa)
         if kappa == 0.0:
             return cls.uniform(d)
         idx = harmonics.HarmonicIndex(d, 1, (0,) * (d - 1))
@@ -205,3 +219,16 @@ class DensitySpec:
             raise ValidationError("density evaluated to a complex value %r"
                                   % (complex(total[complex_at][0]),))
         return total.real if total.ndim else float(total.real)
+
+
+def check_density(obj, d=None):
+    """Reject all but a DensitySpec on S^d, or on a sphere the engines
+    support (d = 2..5) when no d is given."""
+    if not isinstance(obj, DensitySpec):
+        raise ValidationError("density must be a DensitySpec, got %r"
+                              % type(obj).__name__)
+    if d is None:
+        check_dimension(obj.d)
+    elif obj.d != d:
+        raise ValidationError("density has d=%d, asked for d=%r"
+                              % (obj.d, d))

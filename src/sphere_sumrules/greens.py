@@ -21,8 +21,9 @@ import numpy as np
 from mpmath import fp
 from scipy import special
 
-from . import harmonics, sumrules, tails
-from .errors import DivergentSumError, ValidationError
+from . import harmonics, tails
+from .errors import (DivergentSumError, ValidationError, check_dimension,
+                     check_gamma, check_integer)
 
 __all__ = ["GreenOrder", "green_closed_form", "green_spectral",
            "dilog", "trilog"]
@@ -49,15 +50,11 @@ class GreenOrder:
     gamma: float = None
 
     def __post_init__(self):
-        if self.d not in (2, 3, 4, 5):
-            raise ValidationError("sphere dimension must be 2..5, got %r"
-                                  % (self.d,))
-        if self.q != int(self.q) or self.q < 0:
-            raise ValidationError("kernel order must be an integer >= 0, "
-                                  "got %r" % (self.q,))
-        if self.gamma is not None and not self.gamma > 0.0:
-            raise ValidationError("shift gamma must be > 0, got %r"
-                                  % (self.gamma,))
+        object.__setattr__(self, "d", check_dimension(self.d))
+        object.__setattr__(self, "q", check_integer(self.q, "kernel order q",
+                                                    most=None))
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", check_gamma(self.gamma))
 
 
 def _term_decay_exponent(d, q):
@@ -93,7 +90,7 @@ def _spectral_terms(d, q, gamma, cosgamma, ell_cut):
                               "got %r" % (cosgamma,))
     alpha = (d - 1) / 2.0
     ls = np.arange(1, ell_cut + 1, dtype=float)
-    ratio = (harmonics.gegenbauer_all(alpha, ell_cut, x)[1:, 0]
+    ratio = (harmonics.gegenbauer_all(alpha, ell_cut, x)[1:]
              * np.exp(-harmonics.log_gegenbauer_at_one(alpha, ls)))
     lam = ls * (ls + d - 1) + (gamma or 0.0)
     degs = np.exp(harmonics.log_degeneracy(d, ls))
@@ -112,10 +109,7 @@ def green_spectral(order, cosgamma, ell_cut=2000, regularize=False):
     if not isinstance(order, GreenOrder):
         order = GreenOrder(*order)
     d, q, gamma = order.d, order.q, order.gamma
-    ell_cut = sumrules._check_ell_cut(ell_cut)
-    if ell_cut is None or ell_cut < 8:
-        raise ValidationError("ell_cut too small to say anything: %r"
-                              % (ell_cut,))
+    ell_cut = check_integer(ell_cut, "ell_cut", least=8)
     absolutely = _term_decay_exponent(d, q) < -1.0
     if not absolutely and gamma is None and not regularize:
         raise DivergentSumError(

@@ -98,26 +98,20 @@ def _lgamma(x):
 
 
 def gegenbauer(alpha, n, x):
-    """C_n^alpha(x) by the forward three-term recurrence (alpha > -1/2)."""
+    """C_n^alpha(x), row n of `gegenbauer_all` (alpha > -1/2)."""
     if n < 0:
         raise ValidationError("Gegenbauer degree must be >= 0, got %r" % (n,))
     if not alpha > -0.5:
         raise ValidationError("Gegenbauer order must exceed -1/2, got %r" % (alpha,))
-    x = np.asarray(x, dtype=float)
-    c_prev = np.ones_like(x)
-    if n == 0:
-        return c_prev if c_prev.ndim else float(c_prev)
-    c = 2.0 * alpha * x
-    for k in range(2, n + 1):
-        c, c_prev = (2.0 * (k + alpha - 1.0) * x * c
-                     - (k + 2.0 * alpha - 2.0) * c_prev) / k, c
+    c = gegenbauer_all(alpha, n, x)[n]
     return c if c.ndim else float(c)
 
 
 def gegenbauer_all(alpha, nmax, x):
-    """All of C_0^alpha ... C_nmax^alpha at x, as an (nmax+1, len(x)) array."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((nmax + 1, x.size))
+    """C_0^alpha .. C_nmax^alpha at x by the three-term recurrence, stacked
+    into an array of shape (nmax + 1,) + shape(x)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((nmax + 1,) + x.shape)
     out[0] = 1.0
     if nmax >= 1:
         out[1] = 2.0 * alpha * x

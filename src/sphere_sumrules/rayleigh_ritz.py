@@ -28,8 +28,9 @@ import numpy as np
 from scipy import linalg
 
 from . import harmonics
-from .density import DensitySpec
-from .errors import NonConvergenceError, ValidationError
+from .density import DensitySpec, check_density
+from .errors import (NonConvergenceError, ValidationError, check_bytes,
+                     check_integer)
 
 ZERO_MODE_TOL = 1e-10
 # m2 rows per Jacobi-band grid in zonal block assembly
@@ -38,10 +39,8 @@ _BAND_CHUNK_ROWS = 64
 
 def basis_size(d, ell_max):
     """Number of harmonics with degree <= ell_max on S^d (exact integer)."""
-    if d < 2:
-        raise ValidationError("need sphere dimension d >= 2, got %r" % (d,))
-    if ell_max < 0:
-        raise ValidationError("cutoff must be >= 0, got %r" % (ell_max,))
+    d = check_integer(d, "sphere dimension d", least=2, most=None)
+    ell_max = check_integer(ell_max, "ell_max", most=None)
     total = math.comb(d + ell_max, ell_max)
     if ell_max >= 1:
         total += math.comb(d + ell_max - 1, ell_max - 1)
@@ -131,9 +130,12 @@ def sigma_pairs(density, basis, I, J):
 
 
 def _assemble_full(d, ell_max, density):
-    idx = truncated_basis(d, ell_max)
-    n = len(idx)
     complex_density = any(abs(complex(c).imag) > 0 for _, c in density.entries)
+    # the dense overlap and its Cholesky factor, before any enumeration
+    n = basis_size(d, ell_max)
+    check_bytes(2 * n * n * (16 if complex_density else 8),
+                "the full %d x %d overlap at ell_max=%d" % (n, n, ell_max))
+    idx = truncated_basis(d, ell_max)
     ell = np.array([h.ell for h in idx])
     # pairs i <= j; past the density's top degree the triangle rule makes
     # every coupling an exact zero
@@ -175,6 +177,8 @@ def _zonal_blocks(d, ell_max, zc, stop=None):
     """
     if stop is None:
         stop = ell_max + 1
+    check_bytes(2 * 8 * (ell_max + 1) ** 2,
+                "the dense m2 = 0 block at ell_max=%d" % ell_max)
     width = max(zc, default=0)
     offsets = np.arange(width + 1).reshape(-1, 1, 1)
     blocks = []
@@ -214,14 +218,8 @@ def assemble(d, ell_max, density, mode=None):
     (per-m2 blocks, zonal densities only), or None to pick the fast path
     automatically.
     """
-    if not isinstance(density, DensitySpec):
-        raise ValidationError("density must be a DensitySpec, got %r"
-                              % type(density).__name__)
-    if density.d != d:
-        raise ValidationError("density lives on S^%d, requested problem on "
-                              "S^%d" % (density.d, d))
-    if ell_max < 0:
-        raise ValidationError("cutoff must be >= 0, got %r" % (ell_max,))
+    check_density(density, d)
+    ell_max = check_integer(ell_max, "ell_max")
     if mode is None:
         mode = "zonal_blocks" if density.is_zonal else "full"
     if mode == "full":
@@ -309,9 +307,8 @@ def solve_spectrum(problem, retained_count=None):
     total = int(mults.sum())
     if retained_count is None:
         retained_count = total // 2
-    if not 0 <= retained_count <= total:
-        raise ValidationError("retained count %r outside [0, %d]"
-                              % (retained_count, total))
+    retained_count = check_integer(retained_count, "retained count",
+                                   most=total)
     return SpectrumEstimate(problem.d, problem.ell_max, values, mults,
                             labels, problem.density, retained_count)
 
@@ -325,11 +322,8 @@ def partial_sum(spectrum, p, count=None):
     """
     if count is None:
         count = spectrum.retained_count
-    available = spectrum.total_count - 1
-    if not 0 <= count <= available:
-        raise ValidationError(
-            "requested %r eigenvalues but only %d nonzero ones are in the "
-            "estimate" % (count, available))
+    count = check_integer(count, "count of nonzero eigenvalues",
+                          most=spectrum.total_count - 1)
     scale = max(1.0, float(abs(spectrum.values[-1])))
     if abs(spectrum.values[0]) > ZERO_MODE_TOL * scale:
         raise ValidationError(

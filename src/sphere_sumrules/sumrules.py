@@ -30,17 +30,17 @@ from the same tail-accelerated traces.
 
 from dataclasses import dataclass
 import math
-import numbers
-import sys
 
 import numpy as np
 from scipy import sparse, special
 
 from . import harmonics, rayleigh_ritz, tails
-from .density import DensitySpec, kappa_bound
-from .errors import (CutoffTooSmallError, DivergentSumError,
+from .density import DensitySpec, check_density, check_kappa, kappa_bound
+from .errors import (MAX_BYTES as _CUBIC_MAX_BYTES, MAX_ELL_CUT,
+                     CutoffTooSmallError, DivergentSumError,
                      UnsupportedDensityError, UnsupportedOrderError,
-                     ValidationError)
+                     ValidationError, check_bytes, check_dimension,
+                     check_gamma, check_integer, integral)
 
 __all__ = [
     "DensitySpec", "EpsilonCoeffs", "MAX_ELL_CUT", "SumRuleResult",
@@ -51,11 +51,6 @@ __all__ = [
 
 DEFAULT_ELL_CUT = 200
 
-# Largest accepted cutoff.  Every band sum up to it fits in memory as a
-# float array; the cubic trace's time grows like its square and its
-# working set linearly, so the trace has its own budget, _CUBIC_MAX_BYTES.
-MAX_ELL_CUT = 10 ** 6
-
 _ORDER_COUNT = {"I1": 1, "I2": 2, "I3": 3, "J1": 2, "J2": 3}
 
 
@@ -64,65 +59,25 @@ def p_min(d):
     return (d + 2) // 2
 
 
-def _check_density(density):
-    if not isinstance(density, DensitySpec):
-        raise ValidationError("density must be a DensitySpec, got %r"
-                              % type(density).__name__)
-
-
-def _check_dimension(d):
-    if d not in (2, 3, 4, 5):
-        raise ValidationError("sphere dimension must be 2..5, got %r" % (d,))
-
-
-def _integral(value):
-    """value as an int if it is an integral real number (not a bool),
-    else None."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if (isinstance(value, numbers.Real) and math.isfinite(value)
-            and float(value).is_integer()):
-        return int(value)
-    return None
+def _check_convergent(d, power, what):
+    """Raise DivergentSumError unless a degree sum over 1/lambda^power
+    converges on S^d, that is power >= p_min(d)."""
+    if power < p_min(d):
+        raise DivergentSumError(
+            "divergent %s for d=%d, p=%d: convergence needs p >= %d"
+            % (what, d, power, p_min(d)))
 
 
 def _check_ell_cut(ell_cut):
-    """The cutoff as an int, None kept: a degree sum has an integral cut,
-    at most MAX_ELL_CUT."""
-    if ell_cut is None:
-        return None
-    cut = _integral(ell_cut)
-    if cut is None or cut < 0:
-        raise ValidationError("ell_cut must be a non-negative integer, got %r"
-                              % (ell_cut,))
-    if cut > MAX_ELL_CUT:
-        raise ValidationError("ell_cut=%d is above the supported ceiling %d"
-                              % (cut, MAX_ELL_CUT))
-    return cut
+    """The cutoff as an int in [0, MAX_ELL_CUT], None kept."""
+    return None if ell_cut is None else check_integer(ell_cut, "ell_cut")
 
 
-def _check_gamma(gamma):
-    """The shift as a float: positive, finite, and with a cube and inverse
-    cube (the highest powers the shifted rule forms) that neither overflow
-    nor underflow."""
-    try:
-        gamma = float(gamma)
-    except (TypeError, ValueError):
-        raise ValidationError("shift gamma must be a number, got %r"
-                              % (gamma,)) from None
-    if not 0.0 < gamma < math.inf:
-        raise ValidationError("shift gamma must be finite and > 0, got %r"
-                              % (gamma,))
-    try:
-        smallest = min(gamma ** 3, gamma ** -3)
-    except OverflowError:
-        smallest = 0.0
-    if smallest < sys.float_info.min:
-        raise ValidationError("shift gamma=%r is out of range: its powers "
-                              "over- or underflow" % (gamma,))
-    return gamma
+def _switch(density, ell_cut):
+    """Degree where the direct sums hand over to their Euler-Maclaurin tails:
+    two past the density's top degree at least, so no tail stencil (two
+    half-degree steps each way) reaches a band's l' = 0 row, where lambda = 0."""
+    return max(DEFAULT_ELL_CUT, ell_cut or 0, density.ell_max + 2)
 
 
 @dataclass(frozen=True)
@@ -130,10 +85,6 @@ class EpsilonCoeffs:
     """Taylor coefficients of the shifted zero-mode energy E0(gamma)."""
 
     eps: tuple
-
-    def energy(self, gamma):
-        """E0(gamma) = sum_k eps_k gamma^k through the stored order."""
-        return sum(e * gamma ** k for k, e in enumerate(self.eps, start=1))
 
 
 @dataclass(frozen=True)
@@ -152,10 +103,7 @@ class SumRuleResult:
 
 def _spectral_trace(d, p, gamma=0.0, switch=DEFAULT_ELL_CUT):
     """sum_{l>=1} g_l / (lambda_l + gamma)^p with Euler-Maclaurin tail."""
-    if 2 * p <= d:
-        raise DivergentSumError(
-            "divergent sum rule for d=%d, p=%d: convergence needs p >= %d"
-            % (d, p, p_min(d)))
+    _check_convergent(d, p, "uniform trace")
 
     def f(l):
         l = np.asarray(l, dtype=float)
@@ -167,10 +115,8 @@ def _spectral_trace(d, p, gamma=0.0, switch=DEFAULT_ELL_CUT):
 
 def zeta_uniform(d, p):
     """Uniform-density sum rule sum_{l>=1} g_l^{(d)} / (l(l+d-1))^p."""
-    _check_dimension(d)
-    if p != int(p) or p < 1:
-        raise ValidationError("order p must be a positive integer, got %r" % (p,))
-    value, _ = _spectral_trace(d, int(p))
+    value, _ = _spectral_trace(check_dimension(d),
+                               check_integer(p, "order p", least=1, most=None))
     return value
 
 
@@ -235,10 +181,6 @@ def _cubic_powers(exps, gamma):
 # few dozen arrays of this many rows by the cutoff, under 4 MB at the
 # default cutoff.
 _CUBIC_CHUNK_ROWS = 32
-
-# Largest working set of a cubic trace, 1 GiB; about ell_cut = 44000 for
-# degrees {1, 2, 3}.
-_CUBIC_MAX_BYTES = 2 ** 30
 
 
 def _cubic_core(density, exps, gamma, cuts):
@@ -353,14 +295,12 @@ def _cubic_bytes(density, lcut):
 
 def _check_cubic_budget(density, lcut):
     """Reject, before any sum runs, a cut whose cubic trace would need more
-    than _CUBIC_MAX_BYTES."""
+    than MAX_BYTES (_CUBIC_MAX_BYTES here): about ell_cut = 44000 for
+    degrees {1, 2, 3}."""
     if not _coupled_triples(density):
         return
-    need = _cubic_bytes(density, lcut)
-    if need > _CUBIC_MAX_BYTES:
-        raise ValidationError(
-            "ell_cut=%d needs %.1f GB for this density's cubic trace, above "
-            "its %.1f GB budget" % (lcut, need / 1e9, _CUBIC_MAX_BYTES / 1e9))
+    check_bytes(_cubic_bytes(density, lcut),
+                "the cubic trace of this density at ell_cut=%d" % lcut)
 
 
 def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
@@ -471,9 +411,7 @@ def _I(orders, block):
 def _J1(q, p, density, switch):
     d = density.d
     s = p + q + 2
-    if s < p_min(d):
-        raise DivergentSumError(
-            "divergent trace J1(%d,%d) for d=%d: needs p+q+2 > d/2" % (q, p, d))
+    _check_convergent(d, s, "trace J1(%d,%d)" % (q, p))
     value, err = _spectral_trace(d, s, 0.0, switch)
     for L, rho in sorted(density.rho_by_degree().items()):
         bval, berr = _band_sum(d, L, q + 1, p + 1, 0.0, switch)
@@ -485,9 +423,7 @@ def _J1(q, p, density, switch):
 def _J2(q, p, r, density, switch):
     d = density.d
     s = p + q + r + 3
-    if s < p_min(d):
-        raise DivergentSumError(
-            "divergent trace J2(%d,%d,%d) for d=%d" % (q, p, r, d))
+    _check_convergent(d, s, "trace J2(%d,%d,%d)" % (q, p, r))
     _check_cubic_budget(density, switch)
     value, err = _spectral_trace(d, s, 0.0, switch)
     # the three insertions share their band sums when orders coincide
@@ -513,24 +449,20 @@ def density_integrals(kind, orders, density, ell_cut=None):
     finite sums (trunc_error 0); J-type values carry the tail estimate of
     their accelerated degree sums.  Returns {"value", "trunc_error"}.
     """
-    if kind not in _ORDER_COUNT:
+    if not isinstance(kind, str) or kind not in _ORDER_COUNT:
         raise ValidationError("unknown integral kind %r" % (kind,))
     try:
         given = tuple(orders)
     except TypeError:
         raise ValidationError("kernel orders must be a tuple, got %r"
                               % (orders,)) from None
-    orders = tuple(_integral(v) for v in given)
-    if len(orders) != _ORDER_COUNT[kind]:
+    if len(given) != _ORDER_COUNT[kind]:
         raise ValidationError("integral %s takes %d order(s), got %r"
                               % (kind, _ORDER_COUNT[kind], given))
-    if any(v is None or v < 0 for v in orders):
-        raise ValidationError("kernel orders must be integers >= 0, got %r"
-                              % (given,))
-    _check_density(density)
-    _check_dimension(density.d)
+    orders = tuple(check_integer(v, "kernel order", most=None) for v in given)
+    check_density(density)
     ell_cut = _check_ell_cut(ell_cut)
-    switch = max(DEFAULT_ELL_CUT, ell_cut or 0)
+    switch = _switch(density, ell_cut)
     if ell_cut is not None and ell_cut < density.ell_max + 1:
         raise CutoffTooSmallError(
             "ell_cut=%d is below the density's top degree %d + 1"
@@ -552,7 +484,7 @@ def density_integrals(kind, orders, density, ell_cut=None):
 
 def epsilon_closed(density):
     """(eps_1..eps_4) of E0(gamma) from the closed coefficient formulas."""
-    _check_density(density)
+    check_density(density)
     vol = harmonics.sphere_volume(density.d)
     block = _zero_mode_block(density, 2 * density.ell_max)
     i10 = _I((0,), block)
@@ -588,10 +520,8 @@ def epsilon_recursive(density, order, ell_cut=None):
     every correction the recursion forms is exact there and a larger
     cutoff only adds work.
     """
-    _check_density(density)
-    order = int(order)
-    if order < 1:
-        raise ValidationError("order must be >= 1, got %r" % (order,))
+    check_density(density)
+    order = check_integer(order, "order", least=1, most=None)
     if order > 6:
         raise UnsupportedOrderError(
             "zero-mode coefficients are supported through order 6, got %d"
@@ -629,27 +559,22 @@ def epsilon_recursive(density, order, ell_cut=None):
 
 
 def _check_sum_rule_orders(d, p):
-    _check_dimension(d)
-    if _integral(p) not in (2, 3):
+    """(d, p) as ints: a supported d and a convergent p in {2, 3}."""
+    d = check_dimension(d)
+    if integral(p) not in (2, 3):
         raise UnsupportedOrderError(
             "sum rules are implemented for p in {2, 3}, got %r" % (p,))
-    if p < p_min(d):
-        raise DivergentSumError(
-            "divergent sum rule for d=%d, p=%d: convergence needs p >= %d"
-            % (d, p, p_min(d)))
+    _check_convergent(d, int(p), "sum rule")
+    return d, int(p)
 
 
 def sum_rule(d, p, density, ell_cut=None):
     """The exact renormalized sum rule Z_p for the given density."""
-    _check_density(density)
-    _check_sum_rule_orders(d, p)
-    if density.d != d:
-        raise ValidationError("density has d=%d, asked for d=%d"
-                              % (density.d, d))
-    ell_cut = _check_ell_cut(ell_cut)
-    switch = max(DEFAULT_ELL_CUT, ell_cut or 0, density.ell_max + 1)
+    d, p = _check_sum_rule_orders(d, p)
+    check_density(density, d)
+    switch = _switch(density, _check_ell_cut(ell_cut))
     vol = harmonics.sphere_volume(d)
-    block = _zero_mode_block(density, (int(p) - 1) * density.ell_max)
+    block = _zero_mode_block(density, (p - 1) * density.ell_max)
     i10 = _I((0,), block)
     i200 = _I((0, 0), block)
     if p == 2:
@@ -660,23 +585,16 @@ def sum_rule(d, p, density, ell_cut=None):
         i3000 = _I((0, 0, 0), block)
         value = (jval - (i10 / vol) ** 3 + 3.0 * i10 * i200 / vol ** 2
                  - 3.0 * i3000 / vol)
-    return SumRuleResult(d=d, p=int(p), value=value, trunc_error=jerr,
+    return SumRuleResult(d=d, p=p, value=value, trunc_error=jerr,
                          provenance="exact-engine", ell_cut=switch)
-
-
-_REFERENCE_FORMS = {}
 
 
 def closed_form_reference(d, p, kappa):
     """Reference polynomial-in-kappa value of Z_p for the tilt family."""
-    if (d, p) not in {(3, 2), (3, 3), (4, 3), (5, 3)}:
+    if (d, p) not in ((3, 2), (3, 3), (4, 3), (5, 3)):
         raise UnsupportedOrderError(
             "no closed-form reference for (d, p) = (%r, %r)" % (d, p))
-    bound = kappa_bound(d)
-    if not abs(kappa) < bound:
-        raise ValidationError(
-            "kappa=%g violates the positivity bound |kappa| < %.6g for d=%d"
-            % (kappa, bound, d))
+    kappa = check_kappa(d, kappa)
     pi = math.pi
     k2 = kappa * kappa
     if (d, p) == (3, 2):
@@ -720,14 +638,10 @@ def sum_rule_shifted(d, p, density, gamma, ell_cut=None):
     regrouped form so the leading 1/gamma^p pieces cancel analytically
     rather than in floating point.
     """
-    _check_density(density)
-    _check_sum_rule_orders(d, p)
-    if density.d != d:
-        raise ValidationError("density has d=%d, asked for d=%d"
-                              % (density.d, d))
-    gamma = _check_gamma(gamma)
-    ell_cut = _check_ell_cut(ell_cut)
-    switch = max(DEFAULT_ELL_CUT, ell_cut or 0, density.ell_max + 1)
+    d, p = _check_sum_rule_orders(d, p)
+    check_density(density, d)
+    gamma = check_gamma(gamma)
+    switch = _switch(density, _check_ell_cut(ell_cut))
     if p == 3:
         _check_cubic_budget(density, switch)
     vol = harmonics.sphere_volume(d)

@@ -13,6 +13,7 @@ power-law fit.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -20,8 +21,9 @@ import numpy as np
 from scipy import special
 
 from . import harmonics, rayleigh_ritz, tails
-from .density import DensitySpec, kappa_bound
-from .errors import (DivergentSumError, NonConvergenceError, ValidationError)
+from .density import DensitySpec, check_kappa
+from .errors import (DivergentSumError, NonConvergenceError, ValidationError,
+                     check_integer)
 from .quadrature import quadrature
 from .sumrules import SumRuleResult, _check_sum_rule_orders, p_min, zeta_uniform
 
@@ -48,13 +50,9 @@ def uniform_prefactor(d):
 def sigma_integral_quadrature(d, kappa):
     """integral over S^d of (1 + kappa Y_{1,0})^{d/2} by polar quadrature."""
     rule = quadrature((d - 2) / 2.0, 200)
-    slope = kappa * math.sqrt(
+    slope = check_kappa(d, kappa) * math.sqrt(
         harmonics.degeneracy(d, 1) / harmonics.sphere_volume(d))
     profile = 1.0 + slope * rule.nodes
-    if np.any(profile <= 0.0):
-        raise ValidationError(
-            "density is not positive along the polar axis for kappa=%r"
-            % (kappa,))
     return float(rule.integrate(profile ** (d / 2.0))) * \
         harmonics.sphere_volume(d - 1)
 
@@ -88,9 +86,6 @@ def _closed_prefactor(d, kappa):
     if d == 3:
         cubic = (4.0 * kappa ** 3 + 6.0 * math.sqrt(2.0) * pi * kappa ** 2
                  + 6.0 * pi ** 2 * kappa + math.sqrt(2.0) * pi ** 3)
-        if cubic <= 0.0:
-            raise ValidationError(
-                "cube-root argument is nonpositive for kappa=%r" % (kappa,))
         z = 2.0 * math.sqrt(2.0) * kappa / (math.sqrt(2.0) * kappa + pi)
         f3 = float(special.hyp2f1(-1.5, 1.5, 3.0, z))
         return (2.0 ** (1.0 / 6.0) * 3.0 ** (2.0 / 3.0) * pi
@@ -118,16 +113,12 @@ def weyl_model(d, kappa=0.0):
     arguments in domain (all admissible kappa for d = 4; rejected for
     d = 3 and 5 where the hypergeometric argument turns negative).
     """
-    kappa = float(kappa)
+    kappa = check_kappa(d, kappa)
     if d in (3, 5) and kappa < 0.0:
         raise ValidationError(
             "kappa < 0 pushes the hypergeometric argument of the d=%d "
             "level formula outside [0, 1); only kappa >= 0 is supported"
             % (d,))
-    if not abs(kappa) < kappa_bound(d):
-        raise ValidationError(
-            "kappa=%g violates the positivity bound |kappa| < %.6g for d=%d"
-            % (kappa, kappa_bound(d), d))
     prefactor = _closed_prefactor(d, kappa)
     sigma_integral = sigma_integral_quadrature(d, kappa)
     from_counting = (counting_coefficient(d) * sigma_integral) ** (-2.0 / d)
@@ -172,8 +163,9 @@ def hybrid_sum_rule(d, p, kappa, ell_max, retain=0.5):
     evaluated on the exactly known uniform spectrum: for kappa = 0 it *is*
     the error; for small kappa it remains the dominant, computable part.
     """
-    _check_sum_rule_orders(d, p)
-    if not 0.0 < retain < 1.0:
+    d, p = _check_sum_rule_orders(d, p)
+    ell_max = check_integer(ell_max, "ell_max")
+    if not isinstance(retain, numbers.Real) or not 0.0 < retain < 1.0:
         raise ValidationError("retain fraction must be in (0, 1), got %r"
                               % (retain,))
     model = weyl_model(d, kappa)
@@ -186,7 +178,7 @@ def hybrid_sum_rule(d, p, kappa, ell_max, retain=0.5):
     tail = model.tail(p, m_keep + 1)
     uniform_tail = weyl_model(d, 0.0).tail(p, m_keep + 1)
     trunc = abs(_exact_uniform_tail(d, p, m_keep) - uniform_tail)
-    return SumRuleResult(d, int(p), head + tail, trunc, "hybrid", ell_max)
+    return SumRuleResult(d, p, head + tail, trunc, "hybrid", ell_max)
 
 
 # ----------------------------------------------------------------------
@@ -213,12 +205,12 @@ class DeltaSample:
 
 def delta(d, ell_max, s):
     """Tail discrepancy Delta(d, ell_max, s) for the uniform density."""
+    d = check_integer(d, "sphere dimension d", least=2, most=None)
     if s < p_min(d):
         raise DivergentSumError(
             "both tails diverge for d=%d, s=%r: need s >= %d"
             % (d, s, p_min(d)))
-    if ell_max < 1:
-        raise ValidationError("ell_max must be >= 1, got %r" % (ell_max,))
+    ell_max = check_integer(ell_max, "ell_max", least=1, most=None)
 
     def term(l):
         return np.exp(harmonics.log_degeneracy(d, l)) / \

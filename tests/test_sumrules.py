@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import zeta
 
-from sphere_sumrules import rayleigh_ritz, sumrules
+from sphere_sumrules import harmonics, rayleigh_ritz, sumrules, weyl
 from sphere_sumrules.density import DensitySpec, kappa_bound
 from sphere_sumrules.errors import (
     CutoffTooSmallError,
@@ -27,6 +27,7 @@ from sphere_sumrules.errors import (
     UnsupportedOrderError,
     ValidationError,
 )
+from sphere_sumrules.greens import GreenOrder
 from sphere_sumrules.harmonics import HarmonicIndex, sphere_volume
 from sphere_sumrules.sumrules import (
     MAX_ELL_CUT,
@@ -576,3 +577,103 @@ def test_rejected_inputs_raise_package_errors(den, data):
     for what, call in calls.items():
         with pytest.raises(SphereSumRulesError):
             call()
+
+
+def _pair(value, ell=1):
+    """A non-zonal density on S^3 with coefficient `value` at m = (1, 1)
+    and its conjugate partner."""
+    idx = HarmonicIndex(3, ell, (1, 1))
+    return DensitySpec.from_coeffs(3, {idx: value,
+                                       idx.conjugate_partner(): -value})
+
+
+def _tilt_problem():
+    return rayleigh_ritz.assemble(3, 4, DensitySpec.tilted(3, 0.5))
+
+
+# every entry point with an input that once raised a raw Python error,
+# returned a value or was silently truncated
+LISTED_INPUTS = {
+    "hybrid float ell_max": lambda: hybrid_sum_rule(3, 3, 1.0, 30.5),
+    "hybrid str ell_max": lambda: hybrid_sum_rule(3, 3, 1.0, "30"),
+    "assemble float ell_max": lambda: rayleigh_ritz.assemble(
+        3, 4.5, DensitySpec.tilted(3, 0.5)),
+    "basis_size float ell_max": lambda: rayleigh_ritz.basis_size(3, 2.5),
+    "delta float ell_max": lambda: weyl.delta(3, 2.5, 2),
+    "epsilon str order": lambda: epsilon_recursive(
+        DensitySpec.tilted(3, 0.5), "a"),
+    "epsilon float order": lambda: epsilon_recursive(
+        DensitySpec.tilted(3, 0.5), 2.5),
+    "zeta str order": lambda: zeta_uniform(3, "a"),
+    "partial_sum float count": lambda: rayleigh_ritz.partial_sum(
+        rayleigh_ritz.solve_spectrum(_tilt_problem()), 2, 2.5),
+    "solve float count": lambda: rayleigh_ritz.solve_spectrum(
+        _tilt_problem(), 2.5),
+    "green infinite gamma": lambda: GreenOrder(3, 1, math.inf),
+    "epsilon_closed d=6": lambda: epsilon_closed(DensitySpec.zonal(6, {1: 0.1})),
+}
+
+
+@pytest.mark.parametrize("call", LISTED_INPUTS.values(), ids=LISTED_INPUTS)
+def test_listed_inputs_raise_package_errors(call):
+    with pytest.raises(SphereSumRulesError):
+        call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DensitySpec.zonal(3, {1: math.nan}),
+    lambda: DensitySpec.zonal(3, {1: 0.1, 2: math.inf}),
+    lambda: _pair(math.nan),
+    lambda: _pair(-math.inf),
+], ids=["zonal nan", "zonal inf", "non-zonal nan", "non-zonal inf"])
+def test_non_finite_coefficients_are_rejected_by_name(make):
+    # a NaN once passed the positivity check, and an inf failed it only as
+    # a density that is not positive
+    with pytest.raises(ValidationError, match="not finite"):
+        make()
+
+
+@contextlib.contextmanager
+def _dense_forbidden():
+    """Make any dense block assembly fail the test instead of allocating."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(
+            rayleigh_ritz, "truncated_basis",
+            side_effect=AssertionError("truncated_basis")))
+        stack.enter_context(mock.patch.object(
+            harmonics, "zonal_band_diagonals",
+            side_effect=AssertionError("zonal_band_diagonals")))
+        yield
+
+
+@pytest.mark.parametrize("call", [
+    lambda: epsilon_recursive(_pair(0.1), 1, ell_cut=30),
+    lambda: rayleigh_ritz.assemble(3, 30, _pair(0.1)),
+    lambda: epsilon_recursive(DensitySpec.tilted(3, 0.5), 1, ell_cut=9000),
+    lambda: hybrid_sum_rule(3, 3, 0.5, 9000),
+], ids=["epsilon non-zonal", "assemble non-zonal", "epsilon zonal",
+        "hybrid"])
+def test_dense_block_past_its_budget_is_rejected_before_assembly(call):
+    # the full d = 3 matrix at ell_max = 30 has 10416 rows (1.7 GB with
+    # its factor), the m2 = 0 block at 9000 needs 1.3 GB; the assembly is
+    # stubbed out, so a missing check fails here instead of allocating
+    with _dense_forbidden():
+        with pytest.raises(ValidationError, match="budget"):
+            call()
+
+
+@pytest.mark.parametrize("coeffs", [{199: 1e-4}, {1: 0.2, 199: 1e-4}])
+@pytest.mark.parametrize("p", [2, 3])
+def test_top_degree_past_the_default_cut_is_finite(coeffs, p):
+    # the tails start two degrees past the density's top degree, so their
+    # stencil never reaches a band's l' = 0 row
+    den = DensitySpec.zonal(3, coeffs)
+    got = sum_rule(3, p, den)
+    assert math.isfinite(got.value) and math.isfinite(got.trunc_error)
+    assert got.value == pytest.approx(sum_rule(3, p, den, ell_cut=800).value,
+                                      rel=0, abs=1e-13)
+
+
+def test_integral_past_the_default_cut_returns_a_value():
+    got = density_integrals("J1", (0, 0), DensitySpec.zonal(3, {230: 1e-4}))
+    assert math.isfinite(got["value"]) and math.isfinite(got["trunc_error"])
