@@ -100,7 +100,11 @@ class DensitySpec:
             if idx in seen:
                 raise ValidationError("duplicate coefficient for %r" % (idx,))
             seen.add(idx)
-            c = complex(c)
+            try:
+                c = complex(c)
+            except (TypeError, ValueError):
+                raise ValidationError("coefficient of %r must be a number, "
+                                      "got %r" % (idx, c)) from None
             if not cmath.isfinite(c):
                 raise ValidationError("coefficient of %r is not finite: %r"
                                       % (idx, c))
@@ -133,16 +137,15 @@ class DensitySpec:
 
         A list/array is read as (c_1, c_2, ...) starting at degree 1.
         """
+        d = check_integer(d, "sphere dimension d", least=2, most=None)
         if not isinstance(coeffs, dict):
             coeffs = {L + 1: c for L, c in enumerate(coeffs)}
-        entries = []
-        for L, c in sorted(coeffs.items()):
-            L = int(L)
-            if L < 1:
-                raise ValidationError("zonal degrees must be >= 1, got %r" % (L,))
-            entries.append((harmonics.HarmonicIndex(d, L, (0,) * (d - 1)),
-                            complex(c)))
-        return cls(d=d, entries=tuple(entries))
+        entries = tuple(
+            (harmonics.HarmonicIndex(
+                d, check_integer(L, "zonal degree", least=1, most=None),
+                (0,) * (d - 1)), c)
+            for L, c in coeffs.items())
+        return cls(d=d, entries=entries)
 
     @classmethod
     def from_coeffs(cls, d, coeffs):

@@ -70,6 +70,16 @@ def check_integer(value, name, least=0, most=MAX_ELL_CUT):
     return n
 
 
+def check_real(value, name):
+    """value as a finite float; anything else, a string or a bool included,
+    raises ValidationError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValidationError("%s must be a finite real number, got %r"
+                              % (name, value))
+    return float(value)
+
+
 def check_dimension(d):
     """The sphere dimension as an int: the engines cover d = 2..5."""
     if integral(d) not in (2, 3, 4, 5):

@@ -109,9 +109,13 @@ def gegenbauer(alpha, n, x):
 
 def gegenbauer_all(alpha, nmax, x):
     """C_0^alpha .. C_nmax^alpha at x by the three-term recurrence, stacked
-    into an array of shape (nmax + 1,) + shape(x)."""
+    into an array of shape (nmax + 1,) + the broadcast shape of alpha and x.
+
+    alpha may be an array: every entry runs the same floating-point
+    sequence as a scalar-alpha call, so each column equals that call's.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape)
+    out = np.empty((nmax + 1,) + np.broadcast_shapes(np.shape(alpha), x.shape))
     out[0] = 1.0
     if nmax >= 1:
         out[1] = 2.0 * alpha * x
@@ -281,41 +285,139 @@ def _selection_mask(ell1, md1, ell2, md2, i3):
             & ((ell1 + ell2 + i3.ell) % 2 == 0))
 
 
-def _index_data(idx):
-    """(phase, log N, per-level data) of one index: all a coupling reads."""
-    return _phase(idx), _log_norm(idx), tuple(_levels(idx))
+def _slots(indices):
+    """(chains, phases, log norms) of a sequence of indices: all a coupling
+    reads of its slots, one row per index.  A chain is
+    (ell, m2, ..., m_{d-1}, |m_d|), so level k's data is (m_k, m_{k+1})."""
+    chains = np.array([(h.ell,) + h.m[:-1] + (abs(h.m_d),) for h in indices],
+                      dtype=np.int64)
+    phases = np.array([_phase(h) for h in indices], dtype=float)
+    log_norms = np.array([_log_norm(h) for h in indices], dtype=float)
+    return chains, phases, log_norms
 
 
-def _level_integral(d, k, levels):
-    """Gauss-Jacobi integral of the three level-k Gegenbauer factors
-    (n_k, lambda_k, sine exponent), k counted from 0, against their
-    combined sine weight."""
-    sin_pow = sum(lv[2] for lv in levels)
-    weight_exp = (sin_pow + d - k - 2) / 2.0
-    rule = quadrature(weight_exp, sum(lv[0] for lv in levels) // 2 + 4)
-    integrand = np.ones_like(rule.nodes)
-    for n_k, lam_k, _ in levels:
-        integrand = integrand * gegenbauer(lam_k, n_k, rule.nodes)
-    return rule.integrate(integrand)
-
-
-def _coupling(data, integrals):
-    """W from the three slots' `_index_data`, selection rules assumed.
+def _couplings(slot1, slot2, slot3):
+    """W for triples that pass the selection rules, row h of each slot's
+    `_slots` data being triple h (at least one).
 
     The integral factorizes into d-1 one-dimensional Gauss-Jacobi
-    quadratures, exact for the polynomial part.  integrals maps
-    (k, level-k data of the three slots) to that level's integral; callers
-    evaluating many couplings share one dict, so each distinct level
-    integral is taken once.
+    quadratures, exact for the polynomial part:
+    W = phases exp(log norms) 2 pi I_0 I_1 ... I_{d-2}, multiplied in that
+    order.  Level k's integral depends on the slots' (m_k, m_{k+1}) alone,
+    so each distinct one is taken once per call (`_level_integrals`).
     """
-    (p1, n1, lv1), (p2, n2, lv2), (p3, n3, lv3) = data
-    value = p1 * p2 * p3 * math.exp(n1 + n2 + n3) * 2.0 * math.pi
-    d = len(lv1) + 1
-    for key in enumerate(zip(lv1, lv2, lv3)):
-        if key not in integrals:
-            integrals[key] = _level_integral(d, *key)
-        value *= integrals[key]
+    chains = np.stack([slot1[0], slot2[0], slot3[0]])
+    _, rows, d = chains.shape
+    # math.exp: np.exp differs from it in the last bit on some arguments
+    exps = np.fromiter(map(math.exp, (slot1[2] + slot2[2] + slot3[2]).tolist()),
+                       dtype=float, count=rows)
+    value = slot1[1] * slot2[1] * slot3[1] * exps * 2.0 * math.pi
+    # one key (k, m_k of the slots, m_{k+1} of the slots) per row and level
+    level = np.broadcast_to(np.arange(d - 1), (1, rows, d - 1))
+    keys = np.concatenate([level, chains[:, :, :-1], chains[:, :, 1:]])
+    keys, inverse = _unique_rows(keys.reshape(7, -1).T)
+    integrals = _level_integrals(d, keys)[inverse.reshape(rows, -1)]
+    for k in range(d - 1):
+        value = value * integrals[:, k]
     return value
+
+
+# values in one Gegenbauer table, which bounds its memory
+_TABLE_MAX_VALUES = 1 << 21
+# C_n^lam(1) <= 2^(n + 2 lam): a table row this far below 2^1024 is finite
+_TABLE_SAFE_DEGREE = 1000
+
+
+def _unique_rows(rows):
+    """The distinct rows of a non-negative integer array and, per row, the
+    position of its own among them.
+
+    np.unique(rows, axis=0) sorts the rows as opaque records, which is
+    slow; here the columns are folded into one int64 code per row (mixed
+    radix, re-ranked whenever the next column would overflow it).
+    """
+    code = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        base = int(col.max()) + 1
+        if (int(code.max()) + 1) * base > 1 << 62:
+            code = np.unique(code, return_inverse=True)[1]
+        code = code * base + col
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return rows[first], inverse
+
+
+def _ranges(starts, lengths):
+    """The ranges start .. start + length - 1, concatenated."""
+    total = int(lengths.sum())
+    return np.repeat(starts - np.cumsum(lengths) + lengths,
+                     lengths) + np.arange(total)
+
+
+def _level_integrals(d, keys):
+    """Level integrals for rows (k, top1, top2, top3, below1, below2,
+    below3) of slot data (m_k, m_{k+1}), k counted from 0.
+
+    Each is the Gauss-Jacobi integral of g1 g2 g3, g_s = C_{n_s}^{lam_s}
+    with n_s = top_s - below_s and lam_s = below_s + (d-k-1)/2, against
+    (1-x^2)^((below1 + below2 + below3 + d-k-2)/2) with
+    (n1 + n2 + n3) // 2 + 4 points.  The Gegenbauer rows come from tables
+    over columns, one per distinct (lam, rule), each with the nodes of its
+    rule; columns are taken in descending need, a table stopping where
+    memory or a row's magnitude would grow too large for it.
+    """
+    k, top, below = keys[:, 0], keys[:, 1:4].T, keys[:, 4:].T
+    n = top - below
+    rules, rule_of = _unique_rows(
+        np.stack([below.sum(0) + d - k - 2, n.sum(0) // 2 + 4], axis=1))
+    quad = [quadrature(w2 / 2.0, q) for w2, q in rules.tolist()]
+    npts = rules[rule_of, 1]
+    offsets = np.cumsum(npts) - npts
+    # one column per distinct (2 lam, rule), needed up to its top degree
+    cols, col_of = _unique_rows(
+        np.stack([(2 * below + d - k - 1).ravel(), np.tile(rule_of, 3)], 1))
+    col_of = col_of.reshape(3, -1)
+    need = np.zeros(len(cols), dtype=np.int64)
+    np.maximum.at(need, col_of.ravel(), n.ravel())
+    col_npts = rules[cols[:, 1], 1]
+    order = np.argsort(-need, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # each column's place in the nodes of all columns, taken in order; the
+    # (slot, key) demands sorted by their column's rank, so that a table
+    # over a run of columns serves a run of demands
+    col_start = np.empty_like(col_npts)
+    col_start[order] = np.cumsum(col_npts[order]) - col_npts[order]
+    ranked = rank[col_of].ravel()
+    demand = np.argsort(ranked, kind="stable")
+    demand_rank = ranked[demand]
+    factors = np.empty((3, int(npts.sum())))
+    first = 0
+    while first < len(order):
+        top_n = need[order[first]]
+        # no more columns than this fit in one table, a node each
+        chunk = order[first:first + _TABLE_MAX_VALUES // (top_n + 1) + 1]
+        fits = (((need[chunk] == top_n)
+                 | (top_n + cols[chunk, 0] < _TABLE_SAFE_DEGREE))
+                & ((top_n + 1) * np.cumsum(col_npts[chunk])
+                   <= _TABLE_MAX_VALUES))
+        misfit = np.flatnonzero(~fits)
+        chunk = chunk[:max(1, misfit[0] if misfit.size else len(chunk))]
+        table = gegenbauer_all(
+            np.repeat(cols[chunk, 0] / 2.0, col_npts[chunk]), top_n,
+            np.concatenate([quad[r].nodes for r in cols[chunk, 1].tolist()]))
+        lo, hi = np.searchsorted(demand_rank, [first, first + len(chunk)])
+        first += len(chunk)
+        slot, key = np.divmod(demand[lo:hi], col_of.shape[1])
+        length = npts[key]
+        factors[np.repeat(slot, length), _ranges(offsets[key], length)] = \
+            table[np.repeat(n[slot, key], length),
+                  _ranges(col_start[col_of[slot, key]] - col_start[chunk[0]],
+                          length)]
+    integrand = factors[0] * factors[1] * factors[2]
+    # one dot product per integral: a matrix-vector product over the rows
+    # of a rule rounds differently in the last bit on many of them
+    return np.array([quad[r].integrate(integrand[a:a + q]) for r, a, q in
+                     zip(rule_of.tolist(), offsets.tolist(), npts.tolist())])
 
 
 def coupling_W(i1, i2, i3):
@@ -331,7 +433,7 @@ def coupling_W(i1, i2, i3):
                               % (i1.d, i2.d, i3.d))
     if not _selection_mask(i1.ell, i1.m_d, i2.ell, i2.m_d, i3):
         return 0.0
-    return _coupling([_index_data(i) for i in (i1, i2, i3)], {})
+    return float(_couplings(*(_slots([i]) for i in (i1, i2, i3)))[0])
 
 
 # ----------------------------------------------------------------------

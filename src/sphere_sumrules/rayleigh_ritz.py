@@ -30,7 +30,7 @@ from scipy import linalg
 from . import harmonics
 from .density import DensitySpec, check_density
 from .errors import (NonConvergenceError, ValidationError, check_bytes,
-                     check_integer)
+                     check_integer, check_real)
 
 ZERO_MODE_TOL = 1e-10
 # m2 rows per Jacobi-band grid in zonal block assembly
@@ -105,28 +105,33 @@ def sigma_pairs(density, basis, I, J):
     c W(basis[i], basis[j], c), accumulated in entry order, as a complex
     array aligned with I and J.  The azimuthal, triangle and parity rules
     are applied to the pairs' (ell, m_d) arrays once per coefficient, before
-    any coupling is evaluated; each basis index's normalization and level
-    data are taken once, and each distinct level integral once per call.
+    any coupling is evaluated; the couplings of every coefficient's
+    surviving pairs are then evaluated together, each basis index's
+    normalization taken once and each distinct level integral once.
     """
-    I, J = np.asarray(I), np.asarray(J)
-    ell = np.array([h.ell for h in basis])
-    md = np.array([h.m_d for h in basis])
+    I, J = np.asarray(I, dtype=int), np.asarray(J, dtype=int)
+    ell = np.array([h.ell for h in basis], dtype=int)
+    md = np.array([h.m_d for h in basis], dtype=int)
     ell_i, md_i, ell_j, md_j = ell[I], md[I], ell[J], md[J]
-    data = {}
-    integrals = {}
-    acc = [0.0] * len(I)
-    for cidx, c in density.entries:
-        cdata = harmonics._index_data(cidx)
-        hits = np.flatnonzero(harmonics._selection_mask(
-            ell_i, md_i, ell_j, md_j, cidx))
-        for k, i, j in zip(hits.tolist(), I[hits].tolist(), J[hits].tolist()):
-            for n in (i, j):
-                if n not in data:
-                    data[n] = harmonics._index_data(basis[n])
-            w = harmonics._coupling((data[i], data[j], cdata), integrals)
-            if w:
-                acc[k] += c * w
-    return np.array(acc, dtype=complex)
+    hits = [np.flatnonzero(harmonics._selection_mask(
+        ell_i, md_i, ell_j, md_j, cidx)) for cidx, _ in density.entries]
+    sizes = [h.size for h in hits]
+    sigma = np.zeros(len(I), dtype=complex)
+    if not sum(sizes):
+        return sigma
+    pairs = np.concatenate(hits)
+    used, at = np.unique(np.concatenate([I[pairs], J[pairs]]),
+                         return_inverse=True)
+    data = harmonics._slots([basis[n] for n in used.tolist()])
+    entry = np.repeat(np.arange(len(hits)), sizes)
+    entries = harmonics._slots([cidx for cidx, _ in density.entries])
+    w = harmonics._couplings([a[at[:pairs.size]] for a in data],
+                             [a[at[pairs.size:]] for a in data],
+                             [a[entry] for a in entries])
+    for (_, c), h, wc in zip(density.entries, hits,
+                             np.split(w, np.cumsum(sizes)[:-1])):
+        sigma[h] += c * wc
+    return sigma
 
 
 def _assemble_full(d, ell_max, density):
@@ -320,6 +325,7 @@ def partial_sum(spectrum, p, count=None):
     skipped automatically; eigenvalues are consumed in ascending order with
     their multiplicities.  count defaults to the spectrum's retained_count.
     """
+    check_real(p, "power p")
     if count is None:
         count = spectrum.retained_count
     count = check_integer(count, "count of nonzero eigenvalues",

@@ -23,7 +23,7 @@ from scipy import special
 from . import harmonics, rayleigh_ritz, tails
 from .density import DensitySpec, check_kappa
 from .errors import (DivergentSumError, NonConvergenceError, ValidationError,
-                     check_integer)
+                     check_integer, check_real)
 from .quadrature import quadrature
 from .sumrules import SumRuleResult, _check_sum_rule_orders, p_min, zeta_uniform
 
@@ -206,6 +206,7 @@ class DeltaSample:
 def delta(d, ell_max, s):
     """Tail discrepancy Delta(d, ell_max, s) for the uniform density."""
     d = check_integer(d, "sphere dimension d", least=2, most=None)
+    check_real(s, "exponent s")
     if s < p_min(d):
         raise DivergentSumError(
             "both tails diverge for d=%d, s=%r: need s >= %d"

@@ -246,6 +246,14 @@ def test_delta_divergent_exponent_exits_one(capsys):
     assert "both tails diverge" in err
 
 
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+def test_delta_non_finite_exponent_exits_one(capsys, s):
+    code, out, err = run_cli(capsys, ["delta", "--d", "3", "--s=" + s,
+                                      "--lmax", "10"])
+    assert code == 1 and not out
+    assert "exponent s must be a finite real number" in err
+
+
 def test_delta_fit_needs_five_samples(capsys):
     code, _, err = run_cli(capsys, ["delta", "--d", "5", "--s", "3",
                                     "--lmax", "10:20:5", "--fit"])

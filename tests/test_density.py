@@ -71,6 +71,27 @@ def test_zonal_constructor_dict_and_list():
         DensitySpec.zonal(3, {0: 0.5})
 
 
+@pytest.mark.parametrize("coeffs", [{1.5: 0.1}, {"2": 0.1}, {1: 0.1, "a": 0.1},
+                                    {True: 0.1}, {math.nan: 0.1}])
+def test_zonal_degree_must_be_an_integer(coeffs):
+    with pytest.raises(ValidationError, match="zonal degree"):
+        DensitySpec.zonal(3, coeffs)
+
+
+def test_integral_float_zonal_degree_is_the_integer_degree():
+    assert DensitySpec.zonal(3, {2.0: 0.1}) == DensitySpec.zonal(3, {2: 0.1})
+
+
+@pytest.mark.parametrize("c", ["a", None, [0.1], object()])
+def test_non_numeric_coefficient_names_its_index(c):
+    with pytest.raises(ValidationError, match=r"ell=1, m=\(0, 0\)"):
+        DensitySpec.zonal(3, {1: c})
+    with pytest.raises(ValidationError, match=r"ell=2, m=\(0, 0\)"):
+        DensitySpec.from_coeffs(3, {HarmonicIndex(3, 2, (0, 0)): c})
+    with pytest.raises(ValidationError, match="must be a number"):
+        DensitySpec.zonal(3, [0.1, c])
+
+
 def test_general_constructor_and_reality_guard():
     i_plus = HarmonicIndex(3, 1, (1, 1))
     i_minus = HarmonicIndex(3, 1, (1, -1))

@@ -63,6 +63,13 @@ def test_partial_sum_skips_one_zero_mode():
         rr.partial_sum(spec, 2, 10 ** 9)
 
 
+@pytest.mark.parametrize("p", ["a", "2", None, math.nan, math.inf, 2j])
+def test_partial_sum_rejects_non_numeric_or_non_finite_power(p):
+    spec = rr.solve_spectrum(rr.assemble(3, 3, DensitySpec.uniform(3)))
+    with pytest.raises(ValidationError, match="power p"):
+        rr.partial_sum(spec, p, 5)
+
+
 def _running_partial_sum(spectrum, p, count):
     """partial_sum as a running total over the spectrum's entries."""
     total = 0.0

@@ -11,15 +11,18 @@ checked against the loop's rules triple by triple.
 """
 
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, strategies as st
 
-from sphere_sumrules import rayleigh_ritz
+from sphere_sumrules import harmonics, rayleigh_ritz
 from sphere_sumrules.density import DensitySpec
 from sphere_sumrules.harmonics import (HarmonicIndex, _levels, _log_norm,
-                                       _phase, _selection_mask,
-                                       coupling_W, gegenbauer)
+                                       _phase, _selection_mask, coupling_W,
+                                       degeneracy, enumerate_m, gegenbauer,
+                                       gegenbauer_all, sphere_volume)
 from sphere_sumrules.quadrature import quadrature
 from sphere_sumrules.sumrules import _zero_mode_block
 
@@ -160,3 +163,96 @@ def test_sigma_pairs_accumulates_in_entry_order():
                      for i, j in zip(I, J)], dtype=complex)
     assert np.count_nonzero(want) > 0
     assert np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# the array passes beyond the property tests' size caps, and their edges
+
+
+def _complex_density(d, degrees):
+    """A fixed non-zonal density on S^d with complex coefficients on every
+    m-vector of the given degrees, scaled as in `non_zonal_densities`."""
+    raw = {}
+    for n, (L, m) in enumerate((L, m) for L in degrees
+                               for m in enumerate_m(d, L)):
+        idx = HarmonicIndex(d, L, m)
+        if idx in raw:
+            continue
+        partner = idx.conjugate_partner()
+        c = complex(math.cos(1.3 * n + 0.4), 0.0)
+        if partner != idx:
+            c += complex(0.0, math.sin(0.7 * n + 1.1))
+        raw[idx] = c
+        raw[partner] = idx.conjugate_phase() * c.conjugate()
+    vol = sphere_volume(d)
+    reach = sum(abs(c) * math.sqrt(degeneracy(d, idx.ell) / vol)
+                for idx, c in raw.items())
+    return DensitySpec.from_coeffs(d, {idx: 0.9 * c / reach
+                                       for idx, c in raw.items()})
+
+
+@pytest.mark.parametrize("d, ell_max", [(3, 8), (4, 5)])
+def test_full_overlap_matches_triple_loop_at_larger_cutoffs(d, ell_max):
+    den = _complex_density(d, (1, 2, 3))
+    got = rayleigh_ritz.assemble(d, ell_max, den, mode="full").blocks[0]
+    want = _loop_full_overlap(d, ell_max, den)
+    assert got.overlap.dtype == want.dtype == complex
+    assert np.count_nonzero(want.imag) > 0
+    assert np.array_equal(got.overlap, want)
+
+
+def test_sigma_pairs_edge_cases_give_zeros_without_warnings():
+    den = _complex_density(3, (1, 2))
+    basis = rayleigh_ritz.truncated_basis(3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty = rayleigh_ritz.sigma_pairs(den, basis, [], [])
+        # every coefficient has odd degree sum with (0, 0): parity fails
+        none = rayleigh_ritz.sigma_pairs(
+            DensitySpec.from_coeffs(3, {HarmonicIndex(3, 1, (0, 0)): 0.1}),
+            basis, [0, 1, 4], [0, 1, 4])
+        # the degree-1 entries hit (0, 1..3), the degree-2 entries nothing
+        I, J = np.zeros(4, dtype=int), np.arange(4)
+        some = rayleigh_ritz.sigma_pairs(den, basis, I, J)
+    assert empty.shape == (0,) and empty.dtype == complex
+    assert none.dtype == complex and not np.any(none)
+    want = [_loop_sigma_element(den, basis[i], basis[j]) for i, j in zip(I, J)]
+    assert np.array_equal(some, np.array(want, dtype=complex))
+
+
+def test_gegenbauer_all_with_array_order_equals_scalar_calls():
+    x = np.cos(np.linspace(0.05, 3.1, 23))
+    alphas = np.array([0.5, 1.0, 1.5, 3.5, 7.0, 12.5])
+    table = gegenbauer_all(alphas[:, None], 9, x)
+    aligned = gegenbauer_all(np.repeat(alphas, x.size), 9, np.tile(x, 6))
+    assert table.shape == (10, 6, 23)
+    for a, alpha in enumerate(alphas):
+        want = gegenbauer_all(float(alpha), 9, x)
+        assert np.array_equal(table[:, a], want)
+        assert np.array_equal(aligned[:, a * x.size:(a + 1) * x.size], want)
+        for n in range(10):
+            assert np.array_equal(table[n, a], gegenbauer(alpha, n, x))
+
+
+def test_split_gegenbauer_tables_give_the_same_overlaps(monkeypatch):
+    # tables cut after a few values each, and at every change of degree
+    den = _complex_density(3, (1, 2, 3))
+    basis = rayleigh_ritz.truncated_basis(3, 5)
+    I, J = np.triu_indices(len(basis))
+    want = rayleigh_ritz.sigma_pairs(den, basis, I, J)
+    monkeypatch.setattr(harmonics, "_TABLE_MAX_VALUES", 40)
+    assert np.array_equal(rayleigh_ritz.sigma_pairs(den, basis, I, J), want)
+    monkeypatch.setattr(harmonics, "_TABLE_SAFE_DEGREE", 0)
+    assert np.array_equal(rayleigh_ritz.sigma_pairs(den, basis, I, J), want)
+
+
+def test_high_degree_coupling_keeps_table_rows_finite():
+    # at the polar level the order-301 column needs degree 0 only; carried
+    # to the degree 580 that the Legendre column needs, its table rows
+    # would overflow on the rule's nodes from about degree 500 on
+    i1 = HarmonicIndex(3, 300, (300, 0))
+    i2, i3 = HarmonicIndex(3, 580, (0, 0)), HarmonicIndex(3, 280, (0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = coupling_W(i1, i2, i3)
+    assert got != 0.0 and got == _loop_coupling_W(i1, i2, i3)

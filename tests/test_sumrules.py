@@ -35,6 +35,7 @@ from sphere_sumrules.sumrules import (
     _check_cubic_budget,
     _check_ell_cut,
     _cubic_bytes,
+    _cubic_core,
     _cubic_trace,
     closed_form_reference,
     density_integrals,
@@ -502,6 +503,21 @@ def test_cubic_bytes_bound_the_traced_peak(coeffs):
         tracemalloc.stop()
     bound = _cubic_bytes(den, 300)
     assert peak <= bound <= 2.0 * peak
+
+
+def test_cubic_chunks_release_their_chains():
+    # at ell = 1000 (two cuts) the first chunk's contraction holds 36
+    # arrays of one chunk's padded grid; a chain kept past its group, still
+    # held while the next chunk builds its weights, lifted the peak to 39.7
+    den = DensitySpec.zonal(3, {2: 0.1})
+    unit = 8 * sumrules._CUBIC_CHUNK_ROWS * (1001 + 2 * 2)
+    tracemalloc.start()
+    try:
+        _cubic_core(den, (0, 0, 0), None, (984, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 35 * unit <= peak <= 37 * unit
 
 
 def test_integral_float_cutoff_is_the_integer_cutoff():

@@ -160,6 +160,12 @@ def test_delta_divergent_exponent_refused():
         weyl.delta(4, 10, 2)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, "x", "3", None, 3j, True])
+def test_delta_rejects_non_numeric_or_non_finite_exponent(s):
+    with pytest.raises(ValidationError, match="exponent s"):
+        weyl.delta(3, 10, s)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the reference fit-curve values (a=0.0145028, b=0.0409641, c=0.477369) "
     "track the magnitude of the spectral tail itself, about 6.7e-3 at "
