@@ -29,11 +29,12 @@ infinite degree sums in the sum-rule engine tractable.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .quadrature import quadrature
 
 __all__ = [
@@ -97,32 +98,49 @@ def _lgamma(x):
 # Gegenbauer polynomials
 
 
+def _gegenbauer_rows(alpha, x, live):
+    """C_0^alpha, C_1^alpha, ... at the 1-D array x by the three-term
+    recurrence, one row per entry of live: row k covers the first live[k]
+    entries of x, live never increasing.
+
+    alpha is a scalar or an array aligned with x; every entry runs the same
+    floating-point sequence as a scalar-alpha call on it alone.
+    """
+    a = alpha
+    row = prev = None
+    for k, m in enumerate(live):
+        if np.ndim(alpha):
+            a = alpha[:m]
+        if k == 0:
+            row = np.ones(m)
+        elif k == 1:
+            row, prev = 2.0 * a * x[:m], row[:m]
+        else:
+            row, prev = (2.0 * (k + a - 1.0) * x[:m] * row[:m]
+                         - (k + 2.0 * a - 2.0) * prev[:m]) / k, row[:m]
+        yield row
+
+
 def gegenbauer(alpha, n, x):
     """C_n^alpha(x), row n of `gegenbauer_all` (alpha > -1/2)."""
-    if n < 0:
-        raise ValidationError("Gegenbauer degree must be >= 0, got %r" % (n,))
+    n = check_integer(n, "Gegenbauer degree", most=None)
     if not alpha > -0.5:
         raise ValidationError("Gegenbauer order must exceed -1/2, got %r" % (alpha,))
-    c = gegenbauer_all(alpha, n, x)[n]
-    return c if c.ndim else float(c)
+    x = np.asarray(x, dtype=float)
+    for c in _gegenbauer_rows(alpha, x.ravel(), repeat(x.size, n + 1)):
+        pass
+    return c.reshape(x.shape) if x.ndim else float(c[0])
 
 
 def gegenbauer_all(alpha, nmax, x):
-    """C_0^alpha .. C_nmax^alpha at x by the three-term recurrence, stacked
-    into an array of shape (nmax + 1,) + the broadcast shape of alpha and x.
-
-    alpha may be an array: every entry runs the same floating-point
-    sequence as a scalar-alpha call, so each column equals that call's.
-    """
+    """C_0^alpha .. C_nmax^alpha at x (scalar alpha) by the three-term
+    recurrence, stacked into an array of shape (nmax + 1,) + x.shape."""
     x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + np.broadcast_shapes(np.shape(alpha), x.shape))
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 2.0 * alpha * x
-    for k in range(2, nmax + 1):
-        out[k] = (2.0 * (k + alpha - 1.0) * x * out[k - 1]
-                  - (k + 2.0 * alpha - 2.0) * out[k - 2]) / k
-    return out
+    out = np.empty((nmax + 1, x.size))
+    for k, row in enumerate(_gegenbauer_rows(alpha, x.ravel(),
+                                             repeat(x.size, nmax + 1))):
+        out[k] = row
+    return out.reshape((nmax + 1,) + x.shape)
 
 
 def log_gegenbauer_at_one(alpha, n):
@@ -322,15 +340,9 @@ def _couplings(slot1, slot2, slot3):
     return value
 
 
-# values in one Gegenbauer table, which bounds its memory
-_TABLE_MAX_VALUES = 1 << 21
-# C_n^lam(1) <= 2^(n + 2 lam): a table row this far below 2^1024 is finite
-_TABLE_SAFE_DEGREE = 1000
-
-
 def _unique_rows(rows):
-    """The distinct rows of a non-negative integer array and, per row, the
-    position of its own among them.
+    """The distinct rows of a non-negative integer array, in lexicographic
+    order, and, per row, the position of its own among them.
 
     np.unique(rows, axis=0) sorts the rows as opaque records, which is
     slow; here the columns are folded into one int64 code per row (mixed
@@ -360,10 +372,10 @@ def _level_integrals(d, keys):
     Each is the Gauss-Jacobi integral of g1 g2 g3, g_s = C_{n_s}^{lam_s}
     with n_s = top_s - below_s and lam_s = below_s + (d-k-1)/2, against
     (1-x^2)^((below1 + below2 + below3 + d-k-2)/2) with
-    (n1 + n2 + n3) // 2 + 4 points.  The Gegenbauer rows come from tables
-    over columns, one per distinct (lam, rule), each with the nodes of its
-    rule; columns are taken in descending need, a table stopping where
-    memory or a row's magnitude would grow too large for it.
+    (n1 + n2 + n3) // 2 + 4 points.  Each distinct factor (lam, rule, n)
+    is read off one recurrence over the nodes of all factors, taken in
+    descending degree so that the factors still climbing at step k are a
+    prefix of them; no row past a factor's own degree is formed.
     """
     k, top, below = keys[:, 0], keys[:, 1:4].T, keys[:, 4:].T
     n = top - below
@@ -372,48 +384,26 @@ def _level_integrals(d, keys):
     quad = [quadrature(w2 / 2.0, q) for w2, q in rules.tolist()]
     npts = rules[rule_of, 1]
     offsets = np.cumsum(npts) - npts
-    # one column per distinct (2 lam, rule), needed up to its top degree
-    cols, col_of = _unique_rows(
-        np.stack([(2 * below + d - k - 1).ravel(), np.tile(rule_of, 3)], 1))
-    col_of = col_of.reshape(3, -1)
-    need = np.zeros(len(cols), dtype=np.int64)
-    np.maximum.at(need, col_of.ravel(), n.ravel())
-    col_npts = rules[cols[:, 1], 1]
-    order = np.argsort(-need, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    # each column's place in the nodes of all columns, taken in order; the
-    # (slot, key) demands sorted by their column's rank, so that a table
-    # over a run of columns serves a run of demands
-    col_start = np.empty_like(col_npts)
-    col_start[order] = np.cumsum(col_npts[order]) - col_npts[order]
-    ranked = rank[col_of].ravel()
-    demand = np.argsort(ranked, kind="stable")
-    demand_rank = ranked[demand]
-    factors = np.empty((3, int(npts.sum())))
-    first = 0
-    while first < len(order):
-        top_n = need[order[first]]
-        # no more columns than this fit in one table, a node each
-        chunk = order[first:first + _TABLE_MAX_VALUES // (top_n + 1) + 1]
-        fits = (((need[chunk] == top_n)
-                 | (top_n + cols[chunk, 0] < _TABLE_SAFE_DEGREE))
-                & ((top_n + 1) * np.cumsum(col_npts[chunk])
-                   <= _TABLE_MAX_VALUES))
-        misfit = np.flatnonzero(~fits)
-        chunk = chunk[:max(1, misfit[0] if misfit.size else len(chunk))]
-        table = gegenbauer_all(
-            np.repeat(cols[chunk, 0] / 2.0, col_npts[chunk]), top_n,
-            np.concatenate([quad[r].nodes for r in cols[chunk, 1].tolist()]))
-        lo, hi = np.searchsorted(demand_rank, [first, first + len(chunk)])
-        first += len(chunk)
-        slot, key = np.divmod(demand[lo:hi], col_of.shape[1])
-        length = npts[key]
-        factors[np.repeat(slot, length), _ranges(offsets[key], length)] = \
-            table[np.repeat(n[slot, key], length),
-                  _ranges(col_start[col_of[slot, key]] - col_start[chunk[0]],
-                          length)]
-    integrand = factors[0] * factors[1] * factors[2]
+    # one factor per distinct (n, 2 lam, rule), in descending n
+    top_n = int(n.max())
+    factors, factor_of = _unique_rows(np.stack(
+        [(top_n - n).ravel(), (2 * below + d - k - 1).ravel(),
+         np.tile(rule_of, 3)], 1))
+    factor_of = factor_of.reshape(3, -1)
+    degree, fpts = top_n - factors[:, 0], rules[factors[:, 2], 1]
+    # factor f's nodes start at start[f]; live[j] counts those of the
+    # factors of degree >= j
+    start = np.concatenate([[0], np.cumsum(fpts)])
+    live = start[np.searchsorted(-degree, -np.arange(top_n + 2),
+                                side="right")].tolist()
+    values = np.empty(start[-1])
+    for j, row in enumerate(_gegenbauer_rows(
+            np.repeat(factors[:, 1] / 2.0, fpts),
+            np.concatenate([quad[r].nodes for r in factors[:, 2].tolist()]),
+            live[:-1])):
+        values[live[j + 1]:live[j]] = row[live[j + 1]:]
+    g1, g2, g3 = (values[_ranges(start[slot], npts)] for slot in factor_of)
+    integrand = g1 * g2 * g3
     # one dot product per integral: a matrix-vector product over the rows
     # of a rule rounds differently in the last bit on many of them
     return np.array([quad[r].integrate(integrand[a:a + q]) for r, a, q in

@@ -34,7 +34,10 @@ class QuadratureRule:
 def _cached_rule(alpha, npoints):
     """Nodes and weights, checked once per rule.  A failed check raises and
     is not cached, so every lookup of a bad rule raises again."""
-    x, w = roots_jacobi(npoints, alpha, alpha)
+    # a failed solve shows as non-finite output, checked below; scipy's
+    # warnings on the way there would only precede that error
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        x, w = roots_jacobi(npoints, alpha, alpha)
     x, w = np.asarray(x), np.asarray(w)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w)) and np.all(w > 0)):
         raise NonConvergenceError(

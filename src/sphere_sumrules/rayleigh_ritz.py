@@ -253,7 +253,6 @@ class SpectrumEstimate:
     multiplicities: np.ndarray
     block_labels: np.ndarray
     density: DensitySpec
-    retained_count: int
 
     @property
     def total_count(self):
@@ -278,16 +277,14 @@ def _scaled_band(block):
     return scaled
 
 
-def solve_spectrum(problem, retained_count=None):
+def solve_spectrum(problem):
     """All generalized eigenvalues of the problem, merged across blocks.
 
     A dense block is solved by `linalg.eigh` on the pencil (A, B).  A band
     block has A > 0 and is solved as the symmetric band matrix
     A^{-1/2} B A^{-1/2}, whose eigenvalues mu give E = 1/mu.  Blocks are
     independent; the merge sorts by (eigenvalue, block label), stably, so
-    the result is deterministic.  retained_count defaults to half the
-    basis size, the truncation trusted downstream when the estimate feeds
-    a partial sum.
+    the result is deterministic.
     """
     values, mults, labels = [], [], []
     for block in problem.blocks:
@@ -308,26 +305,18 @@ def solve_spectrum(problem, retained_count=None):
     values, mults, labels = (np.concatenate(a) for a in (values, mults,
                                                            labels))
     order = np.lexsort((labels, values))
-    values, mults, labels = values[order], mults[order], labels[order]
-    total = int(mults.sum())
-    if retained_count is None:
-        retained_count = total // 2
-    retained_count = check_integer(retained_count, "retained count",
-                                   most=total)
-    return SpectrumEstimate(problem.d, problem.ell_max, values, mults,
-                            labels, problem.density, retained_count)
+    return SpectrumEstimate(problem.d, problem.ell_max, values[order],
+                            mults[order], labels[order], problem.density)
 
 
-def partial_sum(spectrum, p, count=None):
+def partial_sum(spectrum, p, count):
     """Sum of 1/E^p over the lowest `count` nonzero eigenvalues.
 
     The single zero mode (the constant solves the problem with E = 0) is
     skipped automatically; eigenvalues are consumed in ascending order with
-    their multiplicities.  count defaults to the spectrum's retained_count.
+    their multiplicities.
     """
     check_real(p, "power p")
-    if count is None:
-        count = spectrum.retained_count
     count = check_integer(count, "count of nonzero eigenvalues",
                           most=spectrum.total_count - 1)
     scale = max(1.0, float(abs(spectrum.values[-1])))

@@ -1,6 +1,7 @@
 """Density container: constructors, reality/positivity guards, views."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -146,6 +147,18 @@ def test_positivity_guard_on_zonal_profile():
     with pytest.raises(ValidationError):
         DensitySpec.zonal(3, {2: 5.0})
     DensitySpec.zonal(3, {2: 4.0})
+
+
+def test_high_degree_positivity_check_keeps_two_rows():
+    # the zonal profile's Gegenbauer values once came from a table of every
+    # row up to the degree: 32.9 MB at degree 2000
+    tracemalloc.start()
+    try:
+        DensitySpec.zonal(3, {2000: 1e-6})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_zero_coefficients_are_dropped():

@@ -90,6 +90,20 @@ def test_gegenbauer_all_matches_single():
         assert np.allclose(table[n], gegenbauer(1.5, n, x), rtol=1e-13)
 
 
+@pytest.mark.parametrize("n", [2.5, "2", -1, None])
+def test_gegenbauer_degree_must_be_a_non_negative_integer(n):
+    with pytest.raises(ValidationError, match="Gegenbauer degree"):
+        gegenbauer(1.0, n, 0.3)
+
+
+def test_gegenbauer_keeps_the_shape_of_x():
+    x = np.linspace(-0.9, 0.9, 12).reshape(3, 4)
+    assert gegenbauer(1.5, 4, x).shape == (3, 4)
+    assert gegenbauer(1.5, 0, x).shape == (3, 4)
+    assert isinstance(gegenbauer(1.5, 4, 0.3), float)
+    assert gegenbauer(1.5, 4, 2.0) == gegenbauer(1.5, 4, np.array([2.0]))[0]
+
+
 def test_gegenbauer_at_one():
     for alpha in (0.5, 1.0, 2.0):
         for n in (0, 1, 3, 8):

@@ -1,10 +1,13 @@
 """Gauss-Jacobi rule checks against analytic moments of (1-x^2)^alpha."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from sphere_sumrules.errors import NonConvergenceError
+from sphere_sumrules.harmonics import HarmonicIndex, coupling_W
 from sphere_sumrules.quadrature import quadrature
 
 
@@ -60,3 +63,17 @@ def test_rejects_bad_arguments():
         quadrature(0.5, 0)
     with pytest.raises(ValidationError):
         quadrature(-1.0, 4)
+
+
+def test_failed_node_solve_raises_typed_error_before_any_warning():
+    # scipy's node solve returns NaN for this rule, with RuntimeWarnings
+    # on the way that once escaped ahead of the typed error; a degree-800
+    # coupling on S^2 asks for it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError):
+            quadrature(400.0, 404)
+        with pytest.raises(NonConvergenceError):
+            coupling_W(HarmonicIndex(2, 800, (0,)),
+                       HarmonicIndex(2, 400, (-400,)),
+                       HarmonicIndex(2, 400, (400,)))

@@ -220,30 +220,26 @@ def test_sigma_pairs_edge_cases_give_zeros_without_warnings():
     assert np.array_equal(some, np.array(want, dtype=complex))
 
 
-def test_gegenbauer_all_with_array_order_equals_scalar_calls():
+def test_gegenbauer_rows_with_array_order_equal_scalar_calls():
+    # six orders on the same nodes, in descending degree: row k covers the
+    # orders of degree >= k, each bitwise equal to its scalar-order call
     x = np.cos(np.linspace(0.05, 3.1, 23))
     alphas = np.array([0.5, 1.0, 1.5, 3.5, 7.0, 12.5])
-    table = gegenbauer_all(alphas[:, None], 9, x)
-    aligned = gegenbauer_all(np.repeat(alphas, x.size), 9, np.tile(x, 6))
-    assert table.shape == (10, 6, 23)
-    for a, alpha in enumerate(alphas):
-        want = gegenbauer_all(float(alpha), 9, x)
-        assert np.array_equal(table[:, a], want)
-        assert np.array_equal(aligned[:, a * x.size:(a + 1) * x.size], want)
+    degrees = np.array([9, 9, 6, 4, 1, 0])
+    live = [x.size * int(np.sum(degrees >= k)) for k in range(10)]
+    rows = harmonics._gegenbauer_rows(np.repeat(alphas, x.size),
+                                      np.tile(x, 6), live)
+    for k, row in enumerate(rows):
+        assert row.shape == (live[k],)
+        for a in range(live[k] // x.size):
+            assert np.array_equal(row[a * x.size:(a + 1) * x.size],
+                                  gegenbauer(alphas[a], k, x))
+    assert k == 9
+    for alpha in alphas:
+        table = gegenbauer_all(float(alpha), 9, x)
+        assert table.shape == (10, 23)
         for n in range(10):
-            assert np.array_equal(table[n, a], gegenbauer(alpha, n, x))
-
-
-def test_split_gegenbauer_tables_give_the_same_overlaps(monkeypatch):
-    # tables cut after a few values each, and at every change of degree
-    den = _complex_density(3, (1, 2, 3))
-    basis = rayleigh_ritz.truncated_basis(3, 5)
-    I, J = np.triu_indices(len(basis))
-    want = rayleigh_ritz.sigma_pairs(den, basis, I, J)
-    monkeypatch.setattr(harmonics, "_TABLE_MAX_VALUES", 40)
-    assert np.array_equal(rayleigh_ritz.sigma_pairs(den, basis, I, J), want)
-    monkeypatch.setattr(harmonics, "_TABLE_SAFE_DEGREE", 0)
-    assert np.array_equal(rayleigh_ritz.sigma_pairs(den, basis, I, J), want)
+            assert np.array_equal(table[n], gegenbauer(alpha, n, x))
 
 
 def test_high_degree_coupling_keeps_table_rows_finite():

@@ -623,8 +623,6 @@ LISTED_INPUTS = {
     "zeta str order": lambda: zeta_uniform(3, "a"),
     "partial_sum float count": lambda: rayleigh_ritz.partial_sum(
         rayleigh_ritz.solve_spectrum(_tilt_problem()), 2, 2.5),
-    "solve float count": lambda: rayleigh_ritz.solve_spectrum(
-        _tilt_problem(), 2.5),
     "green infinite gamma": lambda: GreenOrder(3, 1, math.inf),
     "epsilon_closed d=6": lambda: epsilon_closed(DensitySpec.zonal(6, {1: 0.1})),
 }
