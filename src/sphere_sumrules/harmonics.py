@@ -543,6 +543,14 @@ def _pair_strength_raw(d, L, l, lp):
     return np.exp(log_s)
 
 
+def _lattice_allowed(L, l, lp):
+    """Where S_L(l, l') can be nonzero: l, l' >= 0 and the parity and
+    triangle rules hold, for float degree arrays l and lp."""
+    return ((np.rint(l + lp + L).astype(int) % 2 == 0)
+            & (np.abs(l - lp) <= L) & (L <= l + lp)
+            & (l >= 0) & (lp >= 0))
+
+
 def pair_strength(d, L, l, lp):
     """S_L(l, l') = sum over m, m' of |W(l,m; l',m'; L,M)|^2 (any fixed M).
 
@@ -558,23 +566,8 @@ def pair_strength(d, L, l, lp):
     scalar = l.ndim == 0
     l = np.atleast_1d(l).astype(float)
     lp_arr = np.atleast_1d(lp_arr).astype(float)
-    ok = ((np.rint(l + lp_arr + L).astype(int) % 2 == 0)
-          & (np.abs(l - lp_arr) <= L) & (L <= l + lp_arr)
-          & (l >= 0) & (lp_arr >= 0))
+    ok = _lattice_allowed(L, l, lp_arr)
     out = np.zeros_like(l)
     if np.any(ok):
         out[ok] = _pair_strength_raw(d, L, l[ok], lp_arr[ok])
     return float(out[0]) if scalar else out
-
-
-def pair_strength_offset(d, L, delta):
-    """Smooth callable f(l) = S_L(l, l + delta) for tail acceleration.
-
-    Returns None when the offset pattern itself is excluded (parity or
-    |delta| > L); otherwise f is valid for continuous l large enough that
-    the triangle rule holds with slack.
-    """
-    if abs(delta) > L or (L + delta) % 2 != 0:
-        return None
-    return lambda l: _pair_strength_raw(d, L, np.asarray(l, dtype=float),
-                                        np.asarray(l, dtype=float) + delta)

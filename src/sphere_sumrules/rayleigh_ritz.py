@@ -107,7 +107,9 @@ def sigma_pairs(density, basis, I, J):
     are applied to the pairs' (ell, m_d) arrays once per coefficient, before
     any coupling is evaluated; the couplings of every coefficient's
     surviving pairs are then evaluated together, each basis index's
-    normalization taken once and each distinct level integral once.
+    normalization taken once and each distinct level integral once.  Their
+    working set, linear in the number of surviving pairs, is held to
+    `errors.MAX_BYTES` before any coupling is evaluated.
     """
     I, J = np.asarray(I, dtype=int), np.asarray(J, dtype=int)
     ell = np.array([h.ell for h in basis], dtype=int)
@@ -119,6 +121,11 @@ def sigma_pairs(density, basis, I, J):
     sigma = np.zeros(len(I), dtype=complex)
     if not sum(sizes):
         return sigma
+    # 8 (20 d + 48) bytes per term: the gathered slot data, the stacked
+    # chains, the level keys and their sort (tracemalloc reads 460-770 at
+    # d = 3..5, less the per-pair masks)
+    check_bytes(8 * (20 * density.d + 48) * sum(sizes),
+                "the coupling pass over %d overlap terms" % sum(sizes))
     pairs = np.concatenate(hits)
     used, at = np.unique(np.concatenate([I[pairs], J[pairs]]),
                          return_inverse=True)

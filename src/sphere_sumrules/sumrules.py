@@ -89,6 +89,15 @@ class EpsilonCoeffs:
 
 @dataclass(frozen=True)
 class SumRuleResult:
+    """One exact sum rule Z~_p on S^d.
+
+    trunc_error estimates the truncation of the value's infinite degree
+    sums (the Euler-Maclaurin remainders of the band sums and the uniform
+    trace, and the cubic trace's cut), not floating-point rounding, which
+    can exceed it: on the tilt at kappa = 0.1 of its bound, sum_rule(3, 3)
+    is 5.6e-17 off the closed form while reporting 1.3e-17.
+    """
+
     d: int
     p: int
     value: float
@@ -124,34 +133,63 @@ def zeta_uniform(d, p):
 # degree-pair band sums
 
 
+# degrees per pair-strength pass of a band sum, direct and tail together;
+# an offset is never split, so a pass past this holds a single offset
+_PASS_POINTS = 2 ** 16
+
+
+def _band_passes(L, switch, nodes):
+    """The offsets delta of a degree-L band sum, grouped into passes of at
+    most _PASS_POINTS degrees: per offset (delta, ls, ok, points), with ls
+    the direct degrees l >= 1, l + delta >= 1 below switch, ok their
+    lattice mask and points the allowed ones followed by the tail nodes."""
+    group, size = [], 0
+    for delta in range(-L, L + 1, 2):
+        start = max(1, 1 - delta)
+        # counted before the offset's arrays are made, as if every direct
+        # degree were allowed, so no two passes' arrays are alive at once
+        count = max(switch - start, 0) + nodes.size
+        if group and size + count > _PASS_POINTS:
+            yield group
+            group, size = [], 0
+        ls = np.arange(start, switch, dtype=float)
+        ok = harmonics._lattice_allowed(L, ls, ls + delta)
+        group.append((delta, ls, ok, np.concatenate([ls[ok], nodes])))
+        size += count
+    yield group
+
+
 def _band_sum(d, L, a, b, gamma=0.0, switch=DEFAULT_ELL_CUT):
     """sum_{l,l'>=1} S_L(l,l') / ((lam_l+g)^a (lam_l'+g)^b).
 
     Split by offset l' - l; each offset gives a smooth summand handled by
-    direct summation plus an Euler-Maclaurin tail.
+    direct summation plus an Euler-Maclaurin tail.  The pair strengths of
+    every offset's direct degrees and tail nodes come from one pass of the
+    pair-strength formula (one per _PASS_POINTS degrees at large cutoffs);
+    the offsets are then summed one by one, in order.
     """
+    nodes = tails.tail_points(switch)
+    v1a = (nodes * (nodes + d - 1) + gamma) ** a
     total = 0.0
     err = 0.0
-    for delta in range(-L, L + 1):
-        smooth = harmonics.pair_strength_offset(d, L, delta)
-        if smooth is None:
-            continue
-        start = max(1, 1 - delta)
-        ls = np.arange(start, switch, dtype=float)
-        lam1 = ls * (ls + d - 1) + gamma
-        lam2 = (ls + delta) * (ls + delta + d - 1) + gamma
-        direct = harmonics.pair_strength(d, L, ls, ls + delta)
-        total += float(np.sum(direct / (lam1 ** a * lam2 ** b)))
-
-        def f(l, s=smooth, dlt=delta):
-            l = np.asarray(l, dtype=float)
-            v1 = l * (l + d - 1) + gamma
-            v2 = (l + dlt) * (l + dlt + d - 1) + gamma
-            return s(l) / (v1 ** a * v2 ** b)
-
-        tval, terr = tails.tail_sum(f, switch)
-        total += tval
-        err += terr
+    for group in _band_passes(L, switch, nodes):
+        strengths = harmonics._pair_strength_raw(
+            d, L, np.concatenate([points for _, _, _, points in group]),
+            np.concatenate([points + delta for delta, _, _, points in group]))
+        at = 0
+        for delta, ls, ok, points in group:
+            s = strengths[at:at + points.size]
+            at += points.size
+            lam1 = ls * (ls + d - 1) + gamma
+            lam2 = (ls + delta) * (ls + delta + d - 1) + gamma
+            direct = np.zeros_like(ls)
+            direct[ok] = s[:-nodes.size]
+            total += float(np.sum(direct / (lam1 ** a * lam2 ** b)))
+            v2 = (nodes + delta) * (nodes + delta + d - 1) + gamma
+            tval, terr = tails.tail_from_values(
+                s[-nodes.size:] / (v1a * v2 ** b), switch)
+            total += tval
+            err += terr
     return total, err
 
 

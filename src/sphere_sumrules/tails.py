@@ -10,6 +10,12 @@ the tail with
 
 The integral is mapped to (0, 1] by l = a/t and done with Gauss-Legendre;
 the derivatives use five-point central differences (f is cheap and smooth).
+
+A tail is split into its points and its values: `tail_points(a)` gives the
+degrees at which it needs f (the Gauss-Legendre nodes a/t, then the five
+stencil degrees) and `tail_from_values` closes the tail from f at those
+degrees.  A caller can so evaluate f once over the direct degrees and the
+tail points together, or the tails of several summands in one pass.
 """
 
 import numpy as np
@@ -28,28 +34,31 @@ _T, _W = np.polynomial.legendre.leggauss(_GL_NODES)
 _T, _W = 0.5 * (_T + 1.0), 0.5 * _W
 
 
-def _integral_to_infinity(f, a):
-    """int_a^inf f(l) dl via the substitution l = a/t, t in (0, 1]."""
-    l = a / _T
-    vals = f(l) * a / (_T * _T)
-    if not np.all(np.isfinite(vals)):
-        raise DivergentSumError("tail integrand not finite; sum likely divergent")
-    return float(np.dot(_W, vals))
+def tail_points(start):
+    """The degrees at which the tail from start needs its summand: the
+    Gauss-Legendre nodes start/t of the integral, then the difference
+    stencil start + (-2, -1, 0, 1, 2) * step."""
+    a = float(start)
+    h = _STEP
+    return np.concatenate([a / _T, [a - 2 * h, a - h, a, a + h, a + 2 * h]])
 
 
-def tail_sum(f, start):
-    """Euler-Maclaurin value of sum_{l=start}^inf f(l).
+def tail_from_values(values, start):
+    """Euler-Maclaurin value of sum_{l=start}^inf f(l) from values, f at
+    `tail_points(start)`.
 
-    f must accept numpy arrays of (possibly non-integer) degrees and decay
-    at least like l^-2; start should sit past any small-degree structure.
     Returns (value, error_estimate) where the estimate is the magnitude of
     the last Euler-Maclaurin correction kept (a practical, not rigorous,
     gauge of the truncation level).
     """
     a = float(start)
     h = _STEP
-    integral = _integral_to_infinity(f, a)
-    stencil = f(np.array([a - 2 * h, a - h, a, a + h, a + 2 * h]))
+    # int_a^inf f(l) dl via the substitution l = a/t, t in (0, 1]
+    vals = values[:_GL_NODES] * a / (_T * _T)
+    if not np.all(np.isfinite(vals)):
+        raise DivergentSumError("tail integrand not finite; sum likely divergent")
+    integral = float(np.dot(_W, vals))
+    stencil = values[_GL_NODES:]
     fa = float(stencil[2])
     d1 = float(stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (12 * h)
     d3 = float(-stencil[0] + 2 * stencil[1] - 2 * stencil[3] + stencil[4]) / (2 * h ** 3)
@@ -58,13 +67,25 @@ def tail_sum(f, start):
     return value, abs(d3) / 720.0
 
 
+def tail_sum(f, start):
+    """Euler-Maclaurin value of sum_{l=start}^inf f(l), f evaluated once.
+
+    f must accept numpy arrays of (possibly non-integer) degrees and decay
+    at least like l^-2; start should sit past any small-degree structure.
+    Returns (value, error_estimate) as `tail_from_values`.
+    """
+    return tail_from_values(f(tail_points(start)), start)
+
+
 def accelerated_sum(f, first, switch=200):
-    """sum_{l=first}^inf f(l): direct terms up to switch, then tail_sum.
+    """sum_{l=first}^inf f(l): direct terms up to switch, then the tail,
+    f evaluated once over both.
 
     Returns (value, error_estimate).
     """
     switch = max(int(switch), int(first))
-    l_direct = np.arange(first, switch, dtype=float)
-    head = float(np.sum(f(l_direct))) if l_direct.size else 0.0
-    tail, err = tail_sum(f, switch)
-    return head + tail, err
+    n = switch - int(first)
+    values = f(np.concatenate([np.arange(first, switch, dtype=float),
+                               tail_points(switch)]))
+    tail, err = tail_from_values(values[n:], switch)
+    return float(np.sum(values[:n])) + tail, err

@@ -1,14 +1,17 @@
 """Pair strengths and band sums against the code they replaced.
 
-Oracle: the log-gamma pass, the pair-strength formula, the band sum and the
-J2 trace as they were first written: `math.lgamma` through `np.vectorize`,
-one pass per log-gamma term, and the three band sums of J2 taken one by
-one.  The engine now evaluates `math.lgamma` once per distinct argument of
-one pair-strength call and takes each distinct J2 band sum once, but it
-forms every argument and every sum in the same order, so each value must
-equal the oracle's exactly (==, np.array_equal): pair strengths on lattice
-grids and at continuous degrees, J1 and J2, and both sum rules on random
-zonal densities.
+Oracle: the log-gamma pass, the pair-strength formula, the Euler-Maclaurin
+tails, the band sum, the uniform trace and the J2 trace as they were first
+written: `math.lgamma` through `np.vectorize`, one pass per log-gamma term,
+one pair-strength call per offset for its direct degrees and two more for
+its tail (the integral's nodes, then the stencil), and the three band sums
+of J2 taken one by one.  The engine now evaluates `math.lgamma` once per
+distinct argument of one pair-strength call, takes every offset of a band
+sum in one such call, evaluates each tail's summand once and takes each
+distinct J2 band sum once, but it forms every argument and every sum in
+the same order, so each value must equal the oracle's exactly
+(==, np.array_equal): pair strengths on lattice grids and at continuous
+degrees, J1 and J2, and both sum rules on random zonal densities.
 """
 
 from contextlib import contextmanager
@@ -21,9 +24,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sphere_sumrules import harmonics, sumrules, tails
 from sphere_sumrules.density import DensitySpec
-from sphere_sumrules.harmonics import (_lgamma, degeneracy,
-                                       log_degeneracy, log_gegenbauer_at_one,
-                                       pair_strength, pair_strength_offset,
+from sphere_sumrules.errors import DivergentSumError
+from sphere_sumrules.harmonics import (_lgamma, _pair_strength_raw,
+                                       degeneracy, log_degeneracy,
+                                       log_gegenbauer_at_one, pair_strength,
                                        sphere_volume)
 from sphere_sumrules.sumrules import (_cubic_trace, density_integrals,
                                       p_min, sum_rule, sum_rule_shifted)
@@ -96,6 +100,47 @@ def _oracle_pair_strength_offset(d, L, delta):
         d, L, np.asarray(l, dtype=float), np.asarray(l, dtype=float) + delta)
 
 
+def _oracle_integral_to_infinity(f, a):
+    """int_a^inf f(l) dl via the substitution l = a/t, t in (0, 1]."""
+    l = a / tails._T
+    vals = f(l) * a / (tails._T * tails._T)
+    if not np.all(np.isfinite(vals)):
+        raise DivergentSumError("tail integrand not finite; sum likely divergent")
+    return float(np.dot(tails._W, vals))
+
+
+def _oracle_tail_sum(f, start):
+    a = float(start)
+    h = tails._STEP
+    integral = _oracle_integral_to_infinity(f, a)
+    stencil = f(np.array([a - 2 * h, a - h, a, a + h, a + 2 * h]))
+    fa = float(stencil[2])
+    d1 = float(stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (12 * h)
+    d3 = float(-stencil[0] + 2 * stencil[1] - 2 * stencil[3] + stencil[4]) / (2 * h ** 3)
+    correction = -d1 / 12.0 + d3 / 720.0
+    value = integral + 0.5 * fa + correction
+    return value, abs(d3) / 720.0
+
+
+def _oracle_accelerated_sum(f, first, switch=200):
+    switch = max(int(switch), int(first))
+    l_direct = np.arange(first, switch, dtype=float)
+    head = float(np.sum(f(l_direct))) if l_direct.size else 0.0
+    tail, err = _oracle_tail_sum(f, switch)
+    return head + tail, err
+
+
+def _oracle_spectral_trace(d, p, gamma=0.0, switch=200):
+    sumrules._check_convergent(d, p, "uniform trace")
+
+    def f(l):
+        l = np.asarray(l, dtype=float)
+        return np.exp(harmonics.log_degeneracy(d, l)
+                      - p * np.log(l * (l + d - 1) + gamma))
+
+    return _oracle_accelerated_sum(f, 1, switch=switch)
+
+
 def _oracle_band_sum(d, L, a, b, gamma=0.0, switch=200):
     total = 0.0
     err = 0.0
@@ -116,7 +161,7 @@ def _oracle_band_sum(d, L, a, b, gamma=0.0, switch=200):
             v2 = (l + dlt) * (l + dlt + d - 1) + gamma
             return s(l) / (v1 ** a * v2 ** b)
 
-        tval, terr = tails.tail_sum(f, switch)
+        tval, terr = _oracle_tail_sum(f, switch)
         total += tval
         err += terr
     return total, err
@@ -124,7 +169,7 @@ def _oracle_band_sum(d, L, a, b, gamma=0.0, switch=200):
 
 def _oracle_J2(q, p, r, density, switch):
     d = density.d
-    value, err = sumrules._spectral_trace(d, p + q + r + 3, 0.0, switch)
+    value, err = _oracle_spectral_trace(d, p + q + r + 3, 0.0, switch)
     for L, rho in sorted(density.rho_by_degree().items()):
         for aa, bb in ((q + 1, p + r + 2), (p + 1, q + r + 2),
                        (r + 1, p + q + 2)):
@@ -141,6 +186,7 @@ def _oracle_engine():
     with mock.patch.object(harmonics, "log_degeneracy",
                            _oracle_log_degeneracy), \
             mock.patch.multiple(sumrules, _band_sum=_oracle_band_sum,
+                                _spectral_trace=_oracle_spectral_trace,
                                 _J2=_oracle_J2):
         yield
 
@@ -174,12 +220,9 @@ CONTINUOUS = np.concatenate([
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_pair_strength_offset_matches_oracle_at_continuous_degrees(d, L):
     nodes = CONTINUOUS
-    for delta in range(-L, L + 1):
-        got = pair_strength_offset(d, L, delta)
-        want = _oracle_pair_strength_offset(d, L, delta)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert np.array_equal(got(nodes), want(nodes))
+    for delta in range(-L, L + 1, 2):
+        got = _pair_strength_raw(d, L, nodes, nodes + delta)
+        assert np.array_equal(got, _oracle_pair_strength_offset(d, L, delta)(nodes))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -222,6 +265,46 @@ def test_lgamma_raises_at_poles(bad):
 
 # ----------------------------------------------------------------------
 # band sums, J-traces and the sum rules
+
+
+@pytest.mark.parametrize("start", [2, 30, 200, 203, 1000])
+def test_tails_match_oracle(start):
+    summands = [lambda l: l ** -2.0, lambda l: (2 * l + 1) / (l * (l + 1)) ** 3]
+    for d in (2, 3, 4, 5):
+        smooth = _oracle_pair_strength_offset(d, 2, -2)
+        summands.append(lambda l, s=smooth, d=d: s(l + 2.0) / (
+            (l + 2.0) * (l + d + 1.0)) ** 2)
+    for f in summands:
+        assert tails.tail_sum(f, start) == _oracle_tail_sum(f, start)
+        for first in (1, 7):
+            assert (tails.accelerated_sum(f, first, switch=start)
+                    == _oracle_accelerated_sum(f, first, switch=start))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 7, 100])
+def test_band_sum_is_one_pair_strength_pass(L):
+    with mock.patch.object(harmonics, "_pair_strength_raw",
+                           wraps=harmonics._pair_strength_raw) as spy:
+        got = sumrules._band_sum(3, L, 2, 1)
+    assert spy.call_count == 1
+    if L <= 7:
+        assert got == _oracle_band_sum(3, L, 2, 1)
+
+
+@pytest.mark.parametrize("points", [1, 400, 1000])
+def test_band_sum_split_into_passes_is_bitwise_the_same(points):
+    cases = ((3, 4, 1, 1, 0.0, 200), (5, 3, 2, 1, 1e-3, 300),
+             (2, 6, 1, 2, 0.0, 1000))
+    whole = [sumrules._band_sum(*c) for c in cases]
+    with mock.patch.object(sumrules, "_PASS_POINTS", points):
+        assert [sumrules._band_sum(*c) for c in cases] == whole
+        groups = list(sumrules._band_passes(6, 1000, tails.tail_points(1000)))
+    # every offset once, in order, never split; a pass past the bound holds
+    # a single offset
+    assert [g[0] for group in groups for g in group] == list(range(-6, 7, 2))
+    for group in groups:
+        size = sum(g[3].size for g in group)
+        assert size <= points or len(group) == 1
 
 
 def test_j2_takes_each_band_sum_once():

@@ -28,7 +28,6 @@ from sphere_sumrules.harmonics import (
     gegenbauer_at_one,
     log_degeneracy,
     pair_strength,
-    pair_strength_offset,
     sphere_volume,
     zonal_band_diagonals,
     zonal_coupling_w,
@@ -446,12 +445,3 @@ def test_pair_strength_selection_zeros_and_arrays():
     want = (ls + 1) * (ls + 2) / (4 * math.pi ** 2)
     assert np.allclose(got, want, rtol=1e-11)
 
-
-def test_pair_strength_offset_callable():
-    assert pair_strength_offset(3, 2, 3) is None          # |delta| > L
-    assert pair_strength_offset(3, 2, 1) is None          # parity
-    f = pair_strength_offset(3, 2, 2)
-    ls = np.arange(3, 9, dtype=float)
-    assert np.allclose(f(ls), pair_strength(3, 2, ls, ls + 2), rtol=1e-11)
-    # smooth at half-integer degrees (needed by the tail accelerator)
-    assert np.isfinite(f(np.array([10.5, 20.25]))).all()

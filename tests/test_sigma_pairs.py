@@ -11,14 +11,16 @@ checked against the loop's rules triple by triple.
 """
 
 import math
+from unittest import mock
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from sphere_sumrules import harmonics, rayleigh_ritz
+from sphere_sumrules import errors, harmonics, rayleigh_ritz
 from sphere_sumrules.density import DensitySpec
+from sphere_sumrules.errors import ValidationError
 from sphere_sumrules.harmonics import (HarmonicIndex, _levels, _log_norm,
                                        _phase, _selection_mask, coupling_W,
                                        degeneracy, enumerate_m, gegenbauer,
@@ -199,6 +201,21 @@ def test_full_overlap_matches_triple_loop_at_larger_cutoffs(d, ell_max):
     assert got.overlap.dtype == want.dtype == complex
     assert np.count_nonzero(want.imag) > 0
     assert np.array_equal(got.overlap, want)
+
+
+def test_sigma_pairs_holds_its_couplings_to_the_budget():
+    # the 76 entries of degrees 1-3 on S^5 at cutoff 3: some 23000
+    # couplings, counted at about 28 MB, beside a 190 kB dense overlap
+    den = _complex_density(5, (1, 2, 3))
+    with mock.patch.object(errors, "MAX_BYTES", 8 * 10 ** 6), \
+            mock.patch.object(harmonics, "_couplings") as couplings:
+        for build in (lambda: rayleigh_ritz.assemble(5, 3, den, mode="full"),
+                      lambda: _zero_mode_block(den, 3)):
+            with pytest.raises(ValidationError, match="overlap terms"):
+                build()
+    couplings.assert_not_called()
+    assert rayleigh_ritz.assemble(5, 3, den, mode="full").blocks[0].overlap \
+        .shape == (77, 77)
 
 
 def test_sigma_pairs_edge_cases_give_zeros_without_warnings():

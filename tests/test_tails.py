@@ -1,6 +1,7 @@
 """Euler-Maclaurin tail summation against exact zeta-function tails."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,3 +60,16 @@ def test_error_estimate_tracks_truncation():
     want = float(zeta(2, 40))
     value, err = tail_sum(lambda l: l ** -2.0, 40)
     assert abs(value - want) <= max(100 * err, 1e-13)
+
+
+def test_each_tail_evaluates_its_summand_once():
+    f = mock.Mock(side_effect=lambda l: l ** -2.0)
+    tail_sum(f, 30)
+    assert f.call_count == 1
+    f.reset_mock()
+    accelerated_sum(f, 1, switch=200)
+    assert f.call_count == 1
+    f.reset_mock()
+    # a switch clamped to first leaves no direct term
+    accelerated_sum(f, 50, switch=10)
+    assert f.call_count == 1
