@@ -21,8 +21,9 @@ a reduced form w_L(l, l', m2) that depends on the shared m-vector only
 through its leading entry.  These zonal couplings need no quadrature: in
 the orthonormal Gegenbauer basis of order m2 + (d-1)/2 they are the entries
 of C_L^((d-1)/2)(J) for the tridiagonal Jacobi matrix J, built band by band
-for a whole grid of m2 at once (`zonal_band_diagonals`).  That reduction,
-and the fully m-summed pair strength S_L(l, l') (a Gegenbauer
+for a whole grid of m2 at once, every degree of a density read off one
+recurrence that holds only the nonzero bands (`_zonal_bands`).  That
+reduction, and the fully m-summed pair strength S_L(l, l') (a Gegenbauer
 product-linearization identity, smooth in continuous l), are what make the
 infinite degree sums in the sum-rule engine tractable.
 """
@@ -85,13 +86,23 @@ def _lgamma(x):
 
     Degree grids repeat most of their arguments, so gathering from the
     distinct values costs far less than a call per element; the values are
-    math.lgamma's own.
+    math.lgamma's own.  The arguments come in sorted runs (one per
+    argument row and offset), which a stable sort merges faster than
+    np.unique's quicksort orders them.
     """
     x = np.asarray(x, dtype=float)
-    distinct, inverse = np.unique(x, return_inverse=True)
+    flat = x.ravel()
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    first = np.empty(flat.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
     values = np.fromiter(map(math.lgamma, distinct), dtype=float,
                          count=distinct.size)
-    return values[inverse.ravel()].reshape(x.shape)
+    out = np.empty(flat.size)
+    out[order] = values[np.cumsum(first) - 1]
+    return out.reshape(x.shape)
 
 
 # ----------------------------------------------------------------------
@@ -437,17 +448,70 @@ def _log_zonal_norm(d, L):
     return -0.5 * (math.log(vol_sub) + _log_h(L, (d - 1) / 2.0))
 
 
-def _times_jacobi(c, b):
-    """Upper diagonals of J c for a symmetric banded c that commutes with J.
+def _jacobi_step(c, b, k, cols):
+    """The offsets of parity k of J c, on the first cols columns, for c the
+    offsets of parity k - 1 of a symmetric banded matrix that commutes
+    with J.
 
-    c[o, :, n] holds entry (n, n+o); b[:, n] = J[n-1, n], with zero first
-    and last columns (the truncation edges).
+    Row i of either array holds offset k % 2 + 2 i of its own parity, its
+    column n the entry (n, n + offset); b[:, n] = J[n-1, n].  An entry of
+    J c takes J[n, n-1] c[n-1, n+o] from offset o + 1 and J[n, n+1]
+    c[n+1, n+o] from offset o - 1 (c[n, n+1] by symmetry when o = 0);
+    the other parity's offsets, and offsets past c's top, are zero and
+    are not added.
     """
-    out = np.zeros_like(c)
-    out[:-1, :, 1:] += b[:, 1:-1] * c[1:, :, :-1]      # J[n, n-1] c[n-1, n+o]
-    out[1:, :, :-1] += b[:, 1:-1] * c[:-1, :, 1:]      # J[n, n+1] c[n+1, n+o]
-    out[0] += b[:, 1:] * c[1]                         # c[n+1, n] = c[n, n+1]
+    out = np.empty((k // 2 + 1,) + c.shape[1:-1] + (cols,))
+    below, above = b[:, 1:cols], b[:, 1:cols + 1]
+    if k % 2:
+        np.multiply(above, c[:, :, 1:cols + 1], out=out)
+    else:
+        np.multiply(above, c[0, :, :cols], out=out[0])
+        np.multiply(above, c[:, :, 1:cols + 1], out=out[1:])
+    out[:-1, :, 1:] += below * c[k % 2:, :, :cols - 1]
     return out
+
+
+def _zonal_bands(d, degrees, m2, size):
+    """Upper diagonals of the reduced couplings w_L of every degree in
+    degrees on an (m2, n) grid, from one Gegenbauer recurrence.
+
+    Returns {L: D_L} with D_L of shape (L // 2 + 1, len(m2), size),
+    D_L[i, r, n] = w_L(l, l + o, m2[r]) at l = m2[r] + n and offset
+    o = L % 2 + 2 i; the offsets of the other parity are zero and not
+    held.  The recurrence C_k = (2 (k + alpha - 1) J C_{k-1}
+    - (k + 2 alpha - 2) C_{k-2}) / k runs once, to the top degree, on the
+    diagonals of J_lam (see `zonal_band_diagonals`), keeping at step k the
+    offsets of k's parity alone; C_L for each degree is read off on the
+    way, scaled to w_L.  Step k keeps the first size + top - k columns,
+    all that the later steps read below column size, so no returned entry
+    meets a truncation edge: each is exact, and bitwise the same whichever
+    other degrees share the recurrence.  No degrees give an empty dict.
+    """
+    degrees = set(degrees)
+    if not degrees:
+        return {}
+    top = max(degrees)
+    lam = np.asarray(m2, dtype=float).reshape(-1, 1) + (d - 1) / 2.0
+    alpha = (d - 1) / 2.0
+    rows = size + top
+    n = np.arange(1, rows, dtype=float)
+    b = np.zeros((lam.shape[0], rows))
+    b[:, 1:] = np.sqrt(n * (n + 2.0 * lam - 1.0)
+                       / (4.0 * (n + lam) * (n + lam - 1.0)))
+    c_prev, c = None, np.ones((1, lam.shape[0], rows))
+    bands = {}
+    for k in range(top + 1):
+        if k:
+            cols = rows - k
+            step = _jacobi_step(c, b, k, cols)
+            step *= 2.0 * (k + alpha - 1.0)
+            if k > 1:
+                step[:-1] -= (k + 2.0 * alpha - 2.0) * c_prev[:, :, :cols]
+            step /= k
+            c, c_prev = step, c
+        if k in degrees:
+            bands[k] = math.exp(_log_zonal_norm(d, k)) * c[:, :, :size]
+    return bands
 
 
 def zonal_band_diagonals(d, L, m2, size):
@@ -460,29 +524,17 @@ def zonal_band_diagonals(d, L, m2, size):
         b_n = sqrt(n (n + 2 lam - 1) / (4 (n + lam) (n + lam - 1))),
 
     so the polar integral behind w_L is an entry of C_L^alpha(J_lam),
-    alpha = (d-1)/2 (Golub & Welsch 1969).  The Gegenbauer three-term
-    recurrence runs on the diagonals of J_lam truncated to size + L rows;
-    a path of L steps between rows below `size` never reaches the cut, so
-    every returned entry is exact and no quadrature is involved.
+    alpha = (d-1)/2 (Golub & Welsch 1969), computed by `_zonal_bands`
+    without any quadrature.
 
     m2 is a sequence of leading entries.  Returns D of shape
     (L + 1, len(m2), size) with D[o, r, n] = w_L(l, l + o, m2[r]) at
     l = m2[r] + n; offsets o of the wrong parity hold zeros.
     """
-    lam = np.asarray(m2, dtype=float).reshape(-1, 1) + (d - 1) / 2.0
-    alpha = (d - 1) / 2.0
-    rows = size + L
-    n = np.arange(1, rows, dtype=float)
-    b = np.zeros((lam.shape[0], rows + 1))
-    b[:, 1:rows] = np.sqrt(n * (n + 2.0 * lam - 1.0)
-                           / (4.0 * (n + lam) * (n + lam - 1.0)))
-    c_prev = np.zeros((L + 1, lam.shape[0], rows))
-    c = np.zeros_like(c_prev)
-    c[0] = 1.0
-    for k in range(1, L + 1):
-        c, c_prev = (2.0 * (k + alpha - 1.0) * _times_jacobi(c, b)
-                     - (k + 2.0 * alpha - 2.0) * c_prev) / k, c
-    return math.exp(_log_zonal_norm(d, L)) * c[:, :, :size]
+    parity = _zonal_bands(d, [L], m2, size)[L]
+    diag = np.zeros((L + 1,) + parity.shape[1:])
+    diag[L % 2::2] = parity
+    return diag
 
 
 def zonal_coupling_w(d, L, l1, l2, m2):

@@ -12,8 +12,8 @@ down as its multiplicity; that fast path turns one dense solve of dimension
 in the tens of thousands into ell_max + 1 small ones.
 
 Each zonal block's B is banded, of bandwidth the density's top degree,
-and every block is built by one builder from one Jacobi band grid per
-degree and chunk of m2 rows.  In the blocks with m2 >= 1 every lambda_ell
+and every block is built by one builder from one Jacobi band recurrence
+per chunk of m2 rows.  In the blocks with m2 >= 1 every lambda_ell
 is positive, so the pencil is the symmetric band matrix A^{-1/2} B A^{-1/2},
 whose eigenvalues are 1/E: those blocks keep B in band storage and are
 solved as band problems.  The m2 = 0 block, which holds the zero mode, is
@@ -33,7 +33,7 @@ from .errors import (NonConvergenceError, ValidationError, check_bytes,
                      check_integer, check_real)
 
 ZERO_MODE_TOL = 1e-10
-# m2 rows per Jacobi-band grid in zonal block assembly
+# m2 rows per Jacobi band recurrence in zonal block assembly
 _BAND_CHUNK_ROWS = 64
 
 
@@ -114,6 +114,8 @@ def sigma_pairs(density, basis, I, J):
     I, J = np.asarray(I, dtype=int), np.asarray(J, dtype=int)
     ell = np.array([h.ell for h in basis], dtype=int)
     md = np.array([h.m_d for h in basis], dtype=int)
+    # the degree ell - |m[0]| of an index's first-level Gegenbauer factor
+    top = ell - np.array([abs(h.m[0]) for h in basis], dtype=int)
     ell_i, md_i, ell_j, md_j = ell[I], md[I], ell[J], md[J]
     hits = [np.flatnonzero(harmonics._selection_mask(
         ell_i, md_i, ell_j, md_j, cidx)) for cidx, _ in density.entries]
@@ -122,9 +124,17 @@ def sigma_pairs(density, basis, I, J):
     if not sum(sizes):
         return sigma
     # 8 (20 d + 48) bytes per term: the gathered slot data, the stacked
-    # chains, the level keys and their sort (tracemalloc reads 460-770 at
-    # d = 3..5, less the per-pair masks)
-    check_bytes(8 * (20 * density.d + 48) * sum(sizes),
+    # chains, the level keys and their sort; and 32 bytes per node of its
+    # first-level integral, (n1 + n2 + n3) // 2 + 4 nodes: the three
+    # factors gathered on them and their product.  Those integrals are
+    # nearly all distinct at d = 2, where the node count grows with the
+    # cutoff (tracemalloc reads 480-770 bytes per term at d = 3..5 and
+    # 620-1120 at d = 2 up to ell_max = 75, over pairs that all pass the
+    # selection rules for some entry)
+    nodes = sum(int(((top[I[h]] + top[J[h]] + cidx.ell - abs(cidx.m[0]))
+                     // 2 + 4).sum())
+                for (cidx, _), h in zip(density.entries, hits))
+    check_bytes(8 * (20 * density.d + 48) * sum(sizes) + 32 * nodes,
                 "the coupling pass over %d overlap terms" % sum(sizes))
     pairs = np.concatenate(hits)
     used, at = np.unique(np.concatenate([I[pairs], J[pairs]]),
@@ -180,12 +190,13 @@ def _zonal_blocks(d, ell_max, zc, stop=None):
     """The blocks m2 < stop (default ell_max + 1, every block) of a zonal
     density with coefficients zc = {L: c_L}.
 
-    The bands come from one `zonal_band_diagonals` grid per degree and
-    chunk of m2 rows, each entry 1 on the diagonal plus c_L w_L over the
-    degrees in turn.  A block of size n keeps min(bandwidth, n - 1) + 1
-    rows in band storage.  The m2 = 0 block holds the zero mode, whose
-    zero stiffness rules out the band solve, so its bands are expanded into
-    the symmetric dense matrix.
+    The bands come from one `harmonics._zonal_bands` recurrence per chunk
+    of m2 rows, which gives every degree's bands of its own parity; each
+    entry is 1 on the diagonal plus c_L w_L over the degrees in turn.  A
+    block of size n keeps min(bandwidth, n - 1) + 1 rows in band storage.
+    The m2 = 0 block holds the zero mode, whose zero stiffness rules out
+    the band solve, so its bands are expanded into the symmetric dense
+    matrix.
     """
     if stop is None:
         stop = ell_max + 1
@@ -199,9 +210,9 @@ def _zonal_blocks(d, ell_max, zc, stop=None):
         size = ell_max - first + 1
         bands = np.zeros((width + 1, len(m2), size))
         bands[0] = 1.0
+        diags = harmonics._zonal_bands(d, zc, m2, size)
         for L, c in zc.items():
-            diag = harmonics.zonal_band_diagonals(d, L, m2, size)
-            bands[L % 2:L + 1:2] += c * diag[L % 2::2]
+            bands[L % 2:L + 1:2] += c * diags[L]
         # entries coupling to a degree past the cut lie outside the block
         bands[m2[:, None] + np.arange(size) + offsets > ell_max] = 0.0
         for r, m in enumerate(m2.tolist()):

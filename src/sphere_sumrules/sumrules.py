@@ -270,7 +270,9 @@ def _cubic_core(density, exps, gamma, cuts):
         lam = np.where((n >= 0) & (ls >= floor) & (ls <= cuts),
                        ls * (ls + d - 1.0) + shift, np.inf)
         gm = np.array([float(harmonics.degeneracy(d - 1, m)) for m in m2])
-        wts = [lam ** -pw for pw in powers]
+        # each distinct power once: sum_rule and sum_rule_shifted use 1, 1, 1
+        wts = {pw: lam ** -pw for pw in set(powers)}
+        wts = [wts[pw] for pw in powers]
         wts[0] = wts[0] * gm[:, None]
 
         def at(o):
@@ -278,14 +280,17 @@ def _cubic_core(density, exps, gamma, cuts):
             return slice(pad + o, pad + o + width)
 
         V, A, C = {}, {}, {}
+        bands = harmonics._zonal_bands(d, zc, m2, width)
         for L, c in zc.items():
-            diag = c * harmonics.zonal_band_diagonals(d, L, m2, width)
+            # row i of a degree's bands is offset L % 2 + 2 i, i.e. |o| // 2
+            diag = bands.pop(L)
+            diag *= c
             for o in range(-L, L + 1, 2):
                 if o >= 0:
-                    v = diag[o]
+                    v = diag[o // 2]
                 else:
                     v = np.zeros_like(diag[0])
-                    v[:, -o:] = diag[-o, :, :max(0, width + o)]
+                    v[:, -o:] = diag[-o // 2, :, :max(0, width + o)]
                 V[L, o] = v
                 A[L, o] = wts[0][..., at(0)] * v * wts[1][..., at(o)]
                 C[L, o] = np.zeros_like(wts[2])
@@ -321,24 +326,25 @@ def _cubic_bytes(density, lcut):
 
     Counted in arrays of `_CUBIC_CHUNK_ROWS` rows by the padded grid's
     lcut + 1 + 2 top columns, k = 2 cuts: the degrees l, and lam and three
-    weights per cut; per degree L its L + 1 diagonals, (L + 1) // 2
-    negative-offset bands, and L + 1 A and C bands per cut; up to top + 1
-    chain bands per cut and 2k + 1 temporaries of a contraction; and six
-    (top + 1)-band arrays of the Jacobi recurrence while a chunk's
-    diagonals are built.
+    weights per cut; per degree L its L // 2 + 1 diagonals of L's parity
+    and (L + 1) // 2 negative-offset bands, L + 1 in all, and L + 1 A and
+    C bands per cut; up to top + 1 chain bands per cut and 2k + 1
+    temporaries of a contraction; and the parity-split recurrence's three
+    steps and one temporary, of at most top // 2 + 1 rows each, beside
+    the diagonals it has already read off.
     """
     k = 2
     degrees = density.rho_by_degree()
     top = max(degrees)
-    arrays = (1 + 4 * k + (k + 6) * (top + 1) + 2 * k + 1
-              + sum((L + 1) * (1 + 2 * k) + (L + 1) // 2 for L in degrees))
+    arrays = (1 + 4 * k + k * (top + 1) + 4 * (top // 2 + 1) + 2 * k + 1
+              + sum((L + 1) * (1 + 2 * k) for L in degrees))
     rows = min(_CUBIC_CHUNK_ROWS, lcut + 1)
     return 8 * rows * (lcut + 1 + 2 * top) * arrays
 
 
 def _check_cubic_budget(density, lcut):
     """Reject, before any sum runs, a cut whose cubic trace would need more
-    than MAX_BYTES (_CUBIC_MAX_BYTES here): about ell_cut = 44000 for
+    than MAX_BYTES (_CUBIC_MAX_BYTES here): about ell_cut = 56000 for
     degrees {1, 2, 3}."""
     if not _coupled_triples(density):
         return

@@ -251,6 +251,22 @@ def test_lgamma_keeps_shapes_and_values():
     assert _lgamma(np.array([])).shape == (0,)
 
 
+def test_lgamma_equals_math_lgamma_on_shuffled_repeats():
+    # sorted runs with repeats, as a degree grid gives, shuffled, so the
+    # gather back to each element's place is checked, and at the 0-d and
+    # empty ends
+    rng = np.random.default_rng(7)
+    runs = np.concatenate([np.arange(1, 60) + s for s in (0.5, 1.0, 2.5)])
+    x = rng.permutation(np.tile(runs, 4)).reshape(12, -1)
+    got = _lgamma(x)
+    assert got.shape == x.shape
+    for g, v in zip(got.ravel().tolist(), x.ravel().tolist()):
+        assert g == math.lgamma(v)
+    zero_d = _lgamma(np.array(7.25))
+    assert zero_d.shape == () and zero_d == math.lgamma(7.25)
+    assert _lgamma(np.empty((0, 3))).shape == (0, 3)
+
+
 def test_lgamma_passes_nan_and_inf_through():
     got = _lgamma(np.array([np.nan, 2.0, np.nan, np.inf]))
     assert np.isnan(got[[0, 2]]).all()

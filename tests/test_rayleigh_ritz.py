@@ -224,13 +224,14 @@ def test_indefinite_band_block_rejected_in_assembly():
     # inflate the couplings of the m2 >= 1 rows only: the dense m2 = 0
     # block still passes, and the first band block's Cholesky check must
     # fail
-    bands = harmonics.zonal_band_diagonals
+    bands = harmonics._zonal_bands
 
-    def inflated(d, L, m2, size):
+    def inflated(d, degrees, m2, size):
         scale = np.where(np.asarray(m2) == 0, 1.0, 100.0)[:, None]
-        return bands(d, L, m2, size) * scale
+        return {L: diag * scale
+                for L, diag in bands(d, degrees, m2, size).items()}
 
-    with mock.patch.object(harmonics, "zonal_band_diagonals", inflated):
+    with mock.patch.object(harmonics, "_zonal_bands", inflated):
         with pytest.raises(ValidationError, match="the density is not "
                            "positive on the truncated subspace: Cholesky "
                            "factorization of the m2=1 block overlap failed"):

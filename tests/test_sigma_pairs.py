@@ -11,6 +11,7 @@ checked against the loop's rules triple by triple.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 import warnings
 
@@ -216,6 +217,33 @@ def test_sigma_pairs_holds_its_couplings_to_the_budget():
     couplings.assert_not_called()
     assert rayleigh_ritz.assemble(5, 3, den, mode="full").blocks[0].overlap \
         .shape == (77, 77)
+
+
+@pytest.mark.parametrize("ell_max", [30, 75])
+def test_sigma_pairs_count_bounds_the_traced_peak_at_d2(ell_max):
+    # at d = 2 nearly every term has its own level integral, whose node
+    # count grows with the degree, so 8 (20 d + 48) bytes a term fell
+    # short of the peak; the pairs all pass the selection rules for some
+    # entry, so the per-pair masks stay within the per-term count
+    den = _complex_density(2, (1, 2, 3))
+    basis = rayleigh_ritz.truncated_basis(2, ell_max)
+    ell = np.array([h.ell for h in basis])
+    md = np.array([h.m_d for h in basis])
+    I, J = np.nonzero(np.triu(ell[None, :] - ell[:, None] <= den.ell_max))
+    keep = np.zeros(I.size, dtype=bool)
+    for cidx, _ in den.entries:
+        keep |= _selection_mask(ell[I], md[I], ell[J], md[J], cidx)
+    I, J = I[keep], J[keep]
+    with mock.patch.object(rayleigh_ritz, "check_bytes",
+                           wraps=errors.check_bytes) as check:
+        tracemalloc.start()
+        try:
+            rayleigh_ritz.sigma_pairs(den, basis, I, J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    (counted, _), = [call.args for call in check.call_args_list]
+    assert peak <= counted
 
 
 def test_sigma_pairs_edge_cases_give_zeros_without_warnings():

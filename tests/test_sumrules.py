@@ -506,9 +506,9 @@ def test_cubic_bytes_bound_the_traced_peak(coeffs):
 
 
 def test_cubic_chunks_release_their_chains():
-    # at ell = 1000 (two cuts) the first chunk's contraction holds 36
+    # at ell = 1000 (two cuts) the first chunk's contraction holds 33
     # arrays of one chunk's padded grid; a chain kept past its group, still
-    # held while the next chunk builds its weights, lifted the peak to 39.7
+    # held while the next chunk builds its weights, lifts the peak to 34.2
     den = DensitySpec.zonal(3, {2: 0.1})
     unit = 8 * sumrules._CUBIC_CHUNK_ROWS * (1001 + 2 * 2)
     tracemalloc.start()
@@ -517,7 +517,7 @@ def test_cubic_chunks_release_their_chains():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 35 * unit <= peak <= 37 * unit
+    assert 32 * unit <= peak <= 34 * unit
 
 
 def test_integral_float_cutoff_is_the_integer_cutoff():
@@ -655,8 +655,8 @@ def _dense_forbidden():
             rayleigh_ritz, "truncated_basis",
             side_effect=AssertionError("truncated_basis")))
         stack.enter_context(mock.patch.object(
-            harmonics, "zonal_band_diagonals",
-            side_effect=AssertionError("zonal_band_diagonals")))
+            harmonics, "_zonal_bands",
+            side_effect=AssertionError("_zonal_bands")))
         yield
 
 
