@@ -97,11 +97,11 @@ def _lgamma(x):
     first = np.empty(flat.size, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    values = np.fromiter(map(math.lgamma, distinct), dtype=float,
-                         count=distinct.size)
+    starts = np.flatnonzero(first)
+    values = np.fromiter(map(math.lgamma, ordered[starts].tolist()),
+                         dtype=float, count=starts.size)
     out = np.empty(flat.size)
-    out[order] = values[np.cumsum(first) - 1]
+    out[order] = np.repeat(values, np.diff(starts, append=flat.size))
     return out.reshape(x.shape)
 
 
