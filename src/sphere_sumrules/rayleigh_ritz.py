@@ -115,7 +115,7 @@ def sigma_pairs(density, basis, I, J):
     ell = np.array([h.ell for h in basis], dtype=int)
     md = np.array([h.m_d for h in basis], dtype=int)
     # the degree ell - |m[0]| of an index's first-level Gegenbauer factor
-    top = ell - np.array([abs(h.m[0]) for h in basis], dtype=int)
+    first = ell - np.array([abs(h.m[0]) for h in basis], dtype=int)
     ell_i, md_i, ell_j, md_j = ell[I], md[I], ell[J], md[J]
     hits = [np.flatnonzero(harmonics._selection_mask(
         ell_i, md_i, ell_j, md_j, cidx)) for cidx, _ in density.entries]
@@ -131,7 +131,7 @@ def sigma_pairs(density, basis, I, J):
     # cutoff (tracemalloc reads 480-770 bytes per term at d = 3..5 and
     # 620-1120 at d = 2 up to ell_max = 75, over pairs that all pass the
     # selection rules for some entry)
-    nodes = sum(int(((top[I[h]] + top[J[h]] + cidx.ell - abs(cidx.m[0]))
+    nodes = sum(int(((first[I[h]] + first[J[h]] + cidx.ell - abs(cidx.m[0]))
                      // 2 + 4).sum())
                 for (cidx, _), h in zip(density.entries, hits))
     check_bytes(8 * (20 * density.d + 48) * sum(sizes) + 32 * nodes,
