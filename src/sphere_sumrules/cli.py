@@ -103,6 +103,15 @@ def _fmt(value):
     return str(value)
 
 
+def _emit(args, text):
+    """Write text to the --out file if one is given, else to stdout."""
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def write_output(args, command, parameters, columns, rows, footer=None):
     if args.format == "json":
         payload = {"command": command, "parameters": parameters,
@@ -120,11 +129,7 @@ def write_output(args, command, parameters, columns, rows, footer=None):
             writer.writerow(["fit"] + ["%s=%s" % (k, _fmt(footer[k]))
                                        for k in sorted(footer)])
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, text)
     return 0
 
 
@@ -253,12 +258,7 @@ def cmd_validate(args):
                      % ("PASS" if res.passed else "FAIL", res.module,
                         res.name, res.residual, res.tolerance))
     lines.append("%d checks, %d failed" % (len(results), failures))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, "\n".join(lines) + "\n")
     return 1 if failures else 0
 
 
@@ -332,9 +332,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, DivergentSumError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
     except NonConvergenceError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

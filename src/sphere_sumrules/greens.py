@@ -79,7 +79,7 @@ def _envelope_tail_bound(d, q, gamma, cut):
         return np.exp(harmonics.log_degeneracy(d, l)
                       - (q + 1) * np.log(l * (l + d - 1) + shift)) / vol
 
-    value, err = tails.tail_sum(f, cut + 1.0)
+    value, err = tails.accelerated_sum(f, cut + 1, switch=cut + 1)
     return float(value + abs(err) + f(cut + 1.0))
 
 

@@ -22,10 +22,11 @@ through its leading entry.  These zonal couplings need no quadrature: in
 the orthonormal Gegenbauer basis of order m2 + (d-1)/2 they are the entries
 of C_L^((d-1)/2)(J) for the tridiagonal Jacobi matrix J, built band by band
 for a whole grid of m2 at once, every degree of a density read off one
-recurrence that holds only the nonzero bands (`_zonal_bands`).  That
-reduction, and the fully m-summed pair strength S_L(l, l') (a Gegenbauer
-product-linearization identity, smooth in continuous l), are what make the
-infinite degree sums in the sum-rule engine tractable.
+recurrence that holds only the nonzero bands (`_zonal_bands`);
+`zonal_coupling_w` reads a single entry off it.  That reduction, and the
+fully m-summed pair strength S_L(l, l') (a Gegenbauer product-linearization
+identity, smooth in continuous l), are what make the infinite degree sums
+in the sum-rule engine tractable.
 """
 
 from dataclasses import dataclass
@@ -41,8 +42,8 @@ from .quadrature import quadrature
 __all__ = [
     "HarmonicIndex", "degeneracy", "eigenvalue", "sphere_volume",
     "gegenbauer", "gegenbauer_all", "gegenbauer_at_one", "log_gegenbauer_at_one",
-    "eval_harmonic", "coupling_W", "zonal_coupling_w", "zonal_band_diagonals",
-    "addition_eval", "pair_strength", "log_degeneracy", "enumerate_m",
+    "eval_harmonic", "coupling_W", "zonal_coupling_w", "addition_eval",
+    "pair_strength", "log_degeneracy", "enumerate_m",
 ]
 
 # ----------------------------------------------------------------------
@@ -478,14 +479,24 @@ def _zonal_bands(d, degrees, m2, size):
     Returns {L: D_L} with D_L of shape (L // 2 + 1, len(m2), size),
     D_L[i, r, n] = w_L(l, l + o, m2[r]) at l = m2[r] + n and offset
     o = L % 2 + 2 i; the offsets of the other parity are zero and not
-    held.  The recurrence C_k = (2 (k + alpha - 1) J C_{k-1}
+    held.
+
+    In the orthonormal basis C_n^lam / sqrt(h(n, lam)) of the weight
+    (1-x^2)^(lam-1/2), lam = m2 + (d-1)/2, multiplication by x is the
+    tridiagonal Jacobi matrix J_lam with zero diagonal and off-diagonals
+
+        b_n = sqrt(n (n + 2 lam - 1) / (4 (n + lam) (n + lam - 1))),
+
+    so the polar integral behind w_L is an entry of C_L^alpha(J_lam),
+    alpha = (d-1)/2 (Golub & Welsch 1969), and needs no quadrature.  The
+    recurrence C_k = (2 (k + alpha - 1) J C_{k-1}
     - (k + 2 alpha - 2) C_{k-2}) / k runs once, to the top degree, on the
-    diagonals of J_lam (see `zonal_band_diagonals`), keeping at step k the
-    offsets of k's parity alone; C_L for each degree is read off on the
-    way, scaled to w_L.  Step k keeps the first size + top - k columns,
-    all that the later steps read below column size, so no returned entry
-    meets a truncation edge: each is exact, and bitwise the same whichever
-    other degrees share the recurrence.  No degrees give an empty dict.
+    diagonals of J_lam, keeping at step k the offsets of k's parity alone;
+    C_L for each degree is read off on the way, scaled to w_L.  Step k
+    keeps the first size + top - k columns, all that the later steps read
+    below column size, so no returned entry meets a truncation edge: each
+    is exact, and bitwise the same whichever other degrees share the
+    recurrence.  No degrees give an empty dict.
     """
     degrees = set(degrees)
     if not degrees:
@@ -514,29 +525,6 @@ def _zonal_bands(d, degrees, m2, size):
     return bands
 
 
-def zonal_band_diagonals(d, L, m2, size):
-    """Upper diagonals of the reduced couplings w_L on an (m2, n) grid.
-
-    In the orthonormal basis C_n^lam / sqrt(h(n, lam)) of the weight
-    (1-x^2)^(lam-1/2), lam = m2 + (d-1)/2, multiplication by x is the
-    tridiagonal Jacobi matrix J_lam with zero diagonal and off-diagonals
-
-        b_n = sqrt(n (n + 2 lam - 1) / (4 (n + lam) (n + lam - 1))),
-
-    so the polar integral behind w_L is an entry of C_L^alpha(J_lam),
-    alpha = (d-1)/2 (Golub & Welsch 1969), computed by `_zonal_bands`
-    without any quadrature.
-
-    m2 is a sequence of leading entries.  Returns D of shape
-    (L + 1, len(m2), size) with D[o, r, n] = w_L(l, l + o, m2[r]) at
-    l = m2[r] + n; offsets o of the wrong parity hold zeros.
-    """
-    parity = _zonal_bands(d, [L], m2, size)[L]
-    diag = np.zeros((L + 1,) + parity.shape[1:])
-    diag[L % 2::2] = parity
-    return diag
-
-
 def zonal_coupling_w(d, L, l1, l2, m2):
     """Reduced coupling W(i1, i2, (L, 0)) for indices sharing an m-vector.
 
@@ -545,15 +533,15 @@ def zonal_coupling_w(d, L, l1, l2, m2):
     squared norms and cancel against the normalizations.  What remains is a
     single polar integral of three Gegenbauer polynomials of order
     lam = m2 + (d-1)/2, (d-1)/2 against the weight (1-x^2)^(lam-1/2), read
-    off the Jacobi matrix by `zonal_band_diagonals`.
+    off the Jacobi matrix by `_zonal_bands`.
     """
     if min(l1, l2) < m2 or m2 < 0:
         return 0.0
     if (l1 + l2 + L) % 2 != 0 or not abs(l1 - l2) <= L <= l1 + l2:
         return 0.0
     lo, hi = sorted((l1, l2))
-    diag = zonal_band_diagonals(d, L, [m2], hi - m2 + 1)
-    return float(diag[hi - lo, 0, lo - m2])
+    band = _zonal_bands(d, [L], [m2], hi - m2 + 1)[L]
+    return float(band[(hi - lo) // 2, 0, lo - m2])
 
 
 # ----------------------------------------------------------------------

@@ -379,10 +379,6 @@ def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
 # I-type integrals: chains on the zero-mode coupling block
 
 
-def _lam(d, ell):
-    return float(ell * (ell + d - 1))
-
-
 def _as_real(value, what):
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise ValidationError("%s evaluated to a complex value %r"
@@ -559,8 +555,8 @@ def epsilon_recursive(density, order, ell_cut=None):
     as 1/lambda on the nonzero modes, and projects on the zero mode.  The
     coupling matrix is the overlap of the variational problem's block that
     holds the zero mode at row 0.  For a zonal density that is the m2 = 0
-    block (the only block built), the block the closed forms' I-terms read
-    too, so the two routes differ only in their algebra.  For any other
+    block alone, from `_zero_mode_block` as for the closed forms' I-terms,
+    so the two routes differ only in their algebra.  For any other
     density it is the full assembly, not the cross-only block of the
     I-terms, which keeps the recursion an independent check of that block.
 
@@ -584,11 +580,10 @@ def epsilon_recursive(density, order, ell_cut=None):
             "ell_cut=%d cannot hold order-%d corrections (need >= %d)"
             % (ell_cut, order, needed))
     if density.is_zonal:
-        block, = rayleigh_ritz._zonal_blocks(density.d, ell_cut,
-                                             density.zonal_coeffs(), stop=1)
+        B, ginv, _ = _zero_mode_block(density, ell_cut)
     else:
         block = rayleigh_ritz.assemble(density.d, ell_cut, density).blocks[0]
-    B, ginv = block.overlap, _green(block.stiffness)
+        B, ginv = block.overlap, _green(block.stiffness)
     b00 = B[0, 0].real
     psi = [np.zeros(B.shape[0], dtype=B.dtype)]
     psi[0][0] = 1.0
@@ -705,12 +700,12 @@ def sum_rule_shifted(d, p, density, gamma, ell_cut=None):
     finite = trace
     if p == 2:
         for L, rho in sorted(density.rho_by_degree().items()):
-            dl = 1.0 / (_lam(d, L) + gamma)
+            dl = 1.0 / (harmonics.eigenvalue(d, L) + gamma)
             finite += rho * (2.0 / (gamma * vol) * dl
                              + _band_sum(d, L, 1, 1, gamma, switch)[0])
     else:
         for L, rho in sorted(density.rho_by_degree().items()):
-            dl = 1.0 / (_lam(d, L) + gamma)
+            dl = 1.0 / (harmonics.eigenvalue(d, L) + gamma)
             finite += 3.0 * rho * ((dl / gamma ** 2 + dl * dl / gamma) / vol
                                    + _band_sum(d, L, 2, 1, gamma, switch)[0])
         if _coupled_triples(density):

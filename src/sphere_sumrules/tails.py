@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergentSumError
 
-__all__ = ["tail_sum", "accelerated_sum"]
+__all__ = ["accelerated_sum"]
 
 # Gauss-Legendre size of the tail integral, and the step of the
 # finite-difference derivatives at the start degree.
@@ -67,21 +67,13 @@ def tail_from_values(values, start):
     return value, abs(d3) / 720.0
 
 
-def tail_sum(f, start):
-    """Euler-Maclaurin value of sum_{l=start}^inf f(l), f evaluated once.
-
-    f must accept numpy arrays of (possibly non-integer) degrees and decay
-    at least like l^-2; start should sit past any small-degree structure.
-    Returns (value, error_estimate) as `tail_from_values`.
-    """
-    return tail_from_values(f(tail_points(start)), start)
-
-
 def accelerated_sum(f, first, switch=200):
     """sum_{l=first}^inf f(l): direct terms up to switch, then the tail,
-    f evaluated once over both.
+    f evaluated once over both (switch = first sums the tail alone).
 
-    Returns (value, error_estimate).
+    f must accept numpy arrays of (possibly non-integer) degrees and decay
+    at least like l^-2; switch should sit past any small-degree structure.
+    Returns (value, error_estimate) as `tail_from_values`.
     """
     switch = max(int(switch), int(first))
     n = switch - int(first)

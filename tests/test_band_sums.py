@@ -109,7 +109,7 @@ def _oracle_integral_to_infinity(f, a):
     return float(np.dot(tails._W, vals))
 
 
-def _oracle_tail_sum(f, start):
+def _oracle_tail(f, start):
     a = float(start)
     h = tails._STEP
     integral = _oracle_integral_to_infinity(f, a)
@@ -126,7 +126,7 @@ def _oracle_accelerated_sum(f, first, switch=200):
     switch = max(int(switch), int(first))
     l_direct = np.arange(first, switch, dtype=float)
     head = float(np.sum(f(l_direct))) if l_direct.size else 0.0
-    tail, err = _oracle_tail_sum(f, switch)
+    tail, err = _oracle_tail(f, switch)
     return head + tail, err
 
 
@@ -161,7 +161,7 @@ def _oracle_band_sum(d, L, a, b, gamma=0.0, switch=200):
             v2 = (l + dlt) * (l + dlt + d - 1) + gamma
             return s(l) / (v1 ** a * v2 ** b)
 
-        tval, terr = _oracle_tail_sum(f, switch)
+        tval, terr = _oracle_tail(f, switch)
         total += tval
         err += terr
     return total, err
@@ -291,7 +291,8 @@ def test_tails_match_oracle(start):
         summands.append(lambda l, s=smooth, d=d: s(l + 2.0) / (
             (l + 2.0) * (l + d + 1.0)) ** 2)
     for f in summands:
-        assert tails.tail_sum(f, start) == _oracle_tail_sum(f, start)
+        assert (tails.accelerated_sum(f, start, switch=start)
+                == _oracle_tail(f, start))
         for first in (1, 7):
             assert (tails.accelerated_sum(f, first, switch=start)
                     == _oracle_accelerated_sum(f, first, switch=start))

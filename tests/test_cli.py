@@ -6,9 +6,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from sphere_sumrules import cli
+from sphere_sumrules import cli, sumrules
+from sphere_sumrules.errors import NonConvergenceError
 from sphere_sumrules.sumrules import (MAX_ELL_CUT, closed_form_reference,
                                       zeta_uniform)
 
@@ -404,6 +406,52 @@ def test_default_output_matches_golden_file(capsys, argv, golden):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert out == (DATA / golden).read_text()
+
+
+# ----------------------------------------------------------------------
+# exit codes and the --out path
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_non_convergence_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(sumrules, "sum_rule",
+                        _raise(NonConvergenceError("no convergence")))
+    code, out, err = run_cli(capsys, ["exact", "--d", "3", "--p", "2",
+                                      "--kappa", "0.5"])
+    assert (code, out, err) == (2, "", "error: no convergence\n")
+
+
+def test_linear_algebra_failure_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(sumrules, "sum_rule",
+                        _raise(np.linalg.LinAlgError("singular matrix")))
+    code, out, err = run_cli(capsys, ["exact", "--d", "3", "--p", "2",
+                                      "--kappa", "0.5"])
+    assert (code, out, err) == (2, "", "numerical error: singular matrix\n")
+
+
+def test_exact_unsupported_density_exits_one(capsys):
+    # a non-zonal density with a coupled degree triple has no cubic trace
+    code, out, err = run_cli(capsys, ["exact", "--d", "3", "--p", "3",
+                                      "--coeffs",
+                                      str(DATA / "nonzonal_d3.json")])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "zonal densities only" in err
+
+
+def test_validate_out_file_holds_the_stdout_text(tmp_path, capsys):
+    path = tmp_path / "validate.txt"
+    code, out, _ = run_cli(capsys, ["validate", "--module", "density",
+                                    "--out", str(path)])
+    assert (code, out) == (0, "")
+    code, want, _ = run_cli(capsys, ["validate", "--module", "density"])
+    assert code == 0
+    assert path.read_text() == want
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from scipy.special import eval_gegenbauer, roots_legendre, sph_harm_y
 from sphere_sumrules.errors import ValidationError
 from sphere_sumrules.harmonics import (
     HarmonicIndex,
+    _zonal_bands,
     addition_eval,
     coupling_W,
     degeneracy,
@@ -29,7 +30,6 @@ from sphere_sumrules.harmonics import (
     log_degeneracy,
     pair_strength,
     sphere_volume,
-    zonal_band_diagonals,
     zonal_coupling_w,
 )
 
@@ -341,14 +341,16 @@ def test_zonal_coupling_selection_rules():
 
 
 def test_zonal_band_matrix_matches_entries():
-    # diagonal o holds w_L(l, l + o) at l = m2 + n; offsets of the wrong
-    # parity and pairs past the band hold zeros
+    # parity row i holds w_L(l, l + o) at l = m2 + n, o = L % 2 + 2 i;
+    # offsets of the wrong parity and pairs past the band are zeros
     d, L, m2, hi = 3, 2, 1, 6
-    diag = zonal_band_diagonals(d, L, [m2], hi - m2 + 1)
+    rows = _zonal_bands(d, [L], [m2], hi - m2 + 1)[L]
+    assert rows.shape == (L // 2 + 1, 1, hi - m2 + 1)
     for l1 in range(m2, hi + 1):
         for l2 in range(l1, hi + 1):
             o = l2 - l1
-            got = diag[o, 0, l1 - m2] if o <= L else 0.0
+            held = o <= L and o % 2 == L % 2
+            got = rows[o // 2, 0, l1 - m2] if held else 0.0
             assert got == pytest.approx(
                 zonal_coupling_w(d, L, l1, l2, m2), rel=1e-12, abs=1e-15)
 
@@ -396,16 +398,20 @@ def test_zonal_band_matrix_matches_mpmath_jacobi_reference():
         for L in (2, 3):
             for m2 in (0, 17, 40):
                 want = _mp_zonal_band(d, L, m2, 60)
-                got = zonal_band_diagonals(d, L, [m2], 61 - m2)[:, 0]
+                got = _zonal_bands(d, [L], [m2], 61 - m2)[L][:, 0]
                 scale = np.max(np.abs(want))
                 for o in range(L + 1):
-                    err = got[o, :61 - m2 - o] - np.diag(want, o)
+                    if o % 2 != L % 2:
+                        # the parity rule: offsets not held are zero
+                        assert not np.diag(want, o).any()
+                        continue
+                    err = got[o // 2, :61 - m2 - o] - np.diag(want, o)
                     assert np.max(np.abs(err)) <= 1e-14 * scale
 
 
 def test_zonal_band_matrix_finite_at_large_order():
     # Gauss-Jacobi rules fail to converge around this order and degree
-    band = zonal_band_diagonals(3, 3, [301], 740 - 301 + 1)
+    band = _zonal_bands(3, [3], [301], 740 - 301 + 1)[3]
     assert np.isfinite(band).all()
     assert np.abs(band).max() > 0.0
 

@@ -39,7 +39,7 @@ KINDS = {"I1": 1, "I2": 2, "I3": 3}
 # the loop oracle
 
 
-def _lam(d, ell):
+def _eigen(d, ell):
     return float(ell * (ell + d - 1))
 
 
@@ -65,38 +65,38 @@ def _internal_indices(density):
 
 def _loop_I1(q, density):
     d = density.d
-    return sum(abs(c) ** 2 / _lam(d, idx.ell) ** (q + 1)
+    return sum(abs(c) ** 2 / _eigen(d, idx.ell) ** (q + 1)
                for idx, c in density.entries) + 0.0j
 
 
 def _loop_I2(q, p, density):
     d = density.d
-    value = sum(abs(c) ** 2 / _lam(d, idx.ell) ** (q + p + 2)
+    value = sum(abs(c) ** 2 / _eigen(d, idx.ell) ** (q + p + 2)
                 for idx, c in density.entries) + 0.0j
     for j, cj in density.entries:
         for jp, cjp in density.entries:
             elem = _sigma_element(density, j, jp)
             if elem != 0:
                 value += (cj.conjugate() * cjp * elem
-                          / (_lam(d, j.ell) ** (q + 1)
-                             * _lam(d, jp.ell) ** (p + 1)))
+                          / (_eigen(d, j.ell) ** (q + 1)
+                             * _eigen(d, jp.ell) ** (p + 1)))
     return value
 
 
 def _loop_I3(q, p, r, density):
     d = density.d
-    value = sum(abs(c) ** 2 / _lam(d, idx.ell) ** (q + p + r + 3)
+    value = sum(abs(c) ** 2 / _eigen(d, idx.ell) ** (q + p + r + 3)
                 for idx, c in density.entries) + 0.0j
     for j, cj in density.entries:
         for jp, cjp in density.entries:
             elem = _sigma_element(density, j, jp)
             if elem != 0:
-                lj, ljp = _lam(d, j.ell), _lam(d, jp.ell)
+                lj, ljp = _eigen(d, j.ell), _eigen(d, jp.ell)
                 value += cj.conjugate() * cjp * elem * (
                     1.0 / (lj ** (q + 1) * ljp ** (p + r + 2))
                     + 1.0 / (lj ** (q + p + 2) * ljp ** (r + 1)))
     for mid in _internal_indices(density):
-        lmid = _lam(d, mid.ell)
+        lmid = _eigen(d, mid.ell)
         left = {j: _sigma_element(density, j, mid) for j, _ in density.entries}
         for j, cj in density.entries:
             if left[j] == 0:
@@ -105,9 +105,9 @@ def _loop_I3(q, p, r, density):
                 if left[jpp] == 0:
                     continue
                 value += (cj.conjugate() * left[j] * left[jpp].conjugate()
-                          * cjpp / (_lam(d, j.ell) ** (q + 1)
+                          * cjpp / (_eigen(d, j.ell) ** (q + 1)
                                     * lmid ** (p + 1)
-                                    * _lam(d, jpp.ell) ** (r + 1)))
+                                    * _eigen(d, jpp.ell) ** (r + 1)))
     return value
 
 

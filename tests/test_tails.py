@@ -8,21 +8,21 @@ import pytest
 from scipy.special import zeta
 
 from sphere_sumrules.errors import DivergentSumError
-from sphere_sumrules.tails import accelerated_sum, tail_sum
+from sphere_sumrules.tails import accelerated_sum
 
 
 def test_inverse_square_tail():
     # sum_{l>=30} 1/l^2 = zeta(2) - sum_{l<30}; the Euler-Maclaurin series
     # is truncated after the f''' term, so accuracy is ~1e-11 at this start
     want = float(zeta(2, 30))
-    value, err = tail_sum(lambda l: l ** -2.0, 30)
+    value, err = accelerated_sum(lambda l: l ** -2.0, 30, switch=30)
     assert value == pytest.approx(want, abs=1e-10)
     assert abs(value - want) <= 10 * err
 
 
 def test_inverse_cube_tail():
     want = float(zeta(3, 25))
-    value, err = tail_sum(lambda l: l ** -3.0, 25)
+    value, err = accelerated_sum(lambda l: l ** -3.0, 25, switch=25)
     assert value == pytest.approx(want, abs=1e-10)
     assert abs(value - want) <= 10 * err
 
@@ -51,20 +51,20 @@ def test_switch_below_first_is_clamped():
 def test_non_finite_integrand_is_refused():
     with pytest.raises(DivergentSumError):
         with np.errstate(over="ignore"):
-            tail_sum(lambda l: np.exp(l), 10)
+            accelerated_sum(lambda l: np.exp(l), 10, switch=10)
 
 
 def test_error_estimate_tracks_truncation():
     # the reported estimate should bound the actual miss within a couple
     # of orders of magnitude for a clean power law
     want = float(zeta(2, 40))
-    value, err = tail_sum(lambda l: l ** -2.0, 40)
+    value, err = accelerated_sum(lambda l: l ** -2.0, 40, switch=40)
     assert abs(value - want) <= max(100 * err, 1e-13)
 
 
 def test_each_tail_evaluates_its_summand_once():
     f = mock.Mock(side_effect=lambda l: l ** -2.0)
-    tail_sum(f, 30)
+    accelerated_sum(f, 30, switch=30)
     assert f.call_count == 1
     f.reset_mock()
     accelerated_sum(f, 1, switch=200)

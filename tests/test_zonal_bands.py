@@ -1,12 +1,12 @@
 """The zonal band recurrence against its per-degree form.
 
-Oracle: `zonal_band_diagonals` and `_times_jacobi` as they were first
-written, one Gegenbauer recurrence per degree over all L + 1 offsets of a
-grid truncated to size + L rows.  `harmonics._zonal_bands` runs one
-recurrence to the top degree, keeps only each step's offsets of its own
-parity and leaves out the terms that only added zeros, so every band entry
-must equal the oracle's exactly (np.array_equal), and so must the cubic
-trace and the zonal blocks built from them.
+Oracle: the band recurrence and `_times_jacobi` as they were first written,
+one Gegenbauer recurrence per degree over all L + 1 offsets of a grid
+truncated to size + L rows.  `harmonics._zonal_bands` runs one recurrence
+to the top degree, keeps only each step's offsets of its own parity and
+leaves out the terms that only added zeros, so every band entry must equal
+the oracle's exactly (np.array_equal), and so must the single couplings,
+the cubic trace and the zonal blocks built from them.
 """
 
 import math
@@ -18,7 +18,7 @@ import pytest
 from sphere_sumrules import harmonics, rayleigh_ritz
 from sphere_sumrules.density import DensitySpec
 from sphere_sumrules.harmonics import (_log_zonal_norm, _zonal_bands,
-                                       degeneracy, zonal_band_diagonals)
+                                       degeneracy, zonal_coupling_w)
 from sphere_sumrules.sumrules import _cubic_core
 
 
@@ -74,14 +74,40 @@ M2_GRIDS = [[0], [1], [301], [0, 1, 2], list(range(7)), [5, 301]]
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
 def test_band_diagonals_equal_the_per_degree_recurrence(d, L):
-    # sizes from a single column up past L cover both truncation edges
+    # sizes from a single column up past L cover both truncation edges;
+    # the parity rows held equal the oracle's, whose other rows are zeros
     for m2 in M2_GRIDS:
         for size in sorted({1, 2, L, L + 1, L + 5, 40}):
-            got = zonal_band_diagonals(d, L, m2, size)
+            got = _zonal_bands(d, [L], m2, size)[L]
             want = _oracle_band_diagonals(d, L, m2, size)
-            assert got.shape == want.shape == (L + 1, len(m2), size)
-            assert np.array_equal(got, want)
-            assert not got[1 - L % 2::2].any()
+            assert want.shape == (L + 1, len(m2), size)
+            assert got.shape == (L // 2 + 1, len(m2), size)
+            assert np.array_equal(got, want[L % 2::2])
+            assert not want[1 - L % 2::2].any()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_zonal_coupling_w_equals_the_oracle_entry(d):
+    # every pair of degrees up to m2 + 13, in both orders: inside the
+    # selection rules the oracle's entry exactly, and an exact 0.0 for a
+    # degree below m2, the wrong parity (where the oracle holds exact
+    # zeros too), an offset past L, or L past lo + hi (where the oracle
+    # holds rounding residues of a zero integral)
+    for L in range(1, 7):
+        for m2 in (0, 1, 3, 10):
+            for hi in range(m2, m2 + 14):
+                band = _oracle_band_diagonals(d, L, [m2], hi - m2 + 1)
+                for lo in range(hi + 1):
+                    o = hi - lo
+                    parity = o % 2 == L % 2
+                    if lo >= m2 and o <= L and not parity:
+                        assert band[o, 0, lo - m2] == 0.0
+                    allowed = lo >= m2 and parity and o <= L <= lo + hi
+                    want = band[o, 0, lo - m2] if allowed else 0.0
+                    for l1, l2 in ((lo, hi), (hi, lo)):
+                        got = zonal_coupling_w(d, L, l1, l2, m2)
+                        assert type(got) is float
+                        assert got == want
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

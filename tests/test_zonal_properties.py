@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphere_sumrules.density import DensitySpec
-from sphere_sumrules.harmonics import (HarmonicIndex, coupling_W, degeneracy,
-                                       enumerate_m, sphere_volume,
-                                       zonal_band_diagonals)
+from sphere_sumrules.harmonics import (HarmonicIndex, _zonal_bands,
+                                       coupling_W, degeneracy, enumerate_m,
+                                       sphere_volume)
 from sphere_sumrules import rayleigh_ritz, sumrules
 from sphere_sumrules.sumrules import (_coupled_triples, _cubic_core,
                                       epsilon_closed, epsilon_recursive,
@@ -44,12 +44,12 @@ def zonal_densities(draw):
 
 def _zonal_band_matrix(d, L, m2, n):
     """Dense w_L(l, l', m2) for m2 <= l, l' < m2 + n, scattered from the
-    diagonals of `zonal_band_diagonals`."""
-    diag = zonal_band_diagonals(d, L, [m2], n)[:, 0]
+    parity rows of `_zonal_bands` (row o // 2 holds offset o)."""
+    diag = _zonal_bands(d, [L], [m2], n)[L][:, 0]
     out = np.zeros((n, n))
     for o in range(L % 2, min(L, n - 1) + 1, 2):
         i = np.arange(n - o)
-        out[i, i + o] = out[i + o, i] = diag[o, :n - o]
+        out[i, i + o] = out[i + o, i] = diag[o // 2, :n - o]
     return out
 
 
