@@ -215,6 +215,35 @@ def _cubic_powers(exps, gamma):
     return [e + 1 for e in exps] if gamma is None else [1, 1, 1]
 
 
+# The dihedral moves of the cycle V_L1 -w0- V_L2 -w1- V_L3 -w2- (back to
+# V_L1), each as (degree order, weight order) of the moved triple: the two
+# turns, then the reversals fixing L1, L2 and L3.
+_CYCLE_MOVES = (((1, 2, 0), (1, 2, 0)), ((2, 0, 1), (2, 0, 1)),
+                ((0, 2, 1), (2, 1, 0)), ((1, 0, 2), (0, 2, 1)),
+                ((2, 1, 0), (1, 0, 2)))
+
+
+def _cubic_classes(density, powers):
+    """Coupled triples by symmetry class, {representative: orbit size}.
+
+    tr(D0 V_L2 D1 V_L3 D2 V_L1) is the cycle V_L1 -w0- V_L2 -w1- V_L3 -w2-
+    with (w0, w1, w2) = powers.  A turn leaves a trace unchanged, and so
+    does a reversal, the transpose of a product of symmetric bands and
+    diagonals; a move keeps the triple's trace when it maps the weights onto
+    themselves.  Those moves form a group, and each orbit of coupled triples
+    under it is one class, represented by its least triple.  The classes
+    come in the order of their representatives; with distinct powers each
+    triple is its own class.
+    """
+    moves = [deg for deg, wt in _CYCLE_MOVES
+             if [powers[i] for i in wt] == list(powers)]
+    classes = {}
+    for triple in _coupled_triples(density):
+        rep = min([triple] + [tuple(triple[i] for i in deg) for deg in moves])
+        classes[rep] = classes.get(rep, 0) + 1
+    return classes
+
+
 # m2 rows per chunk of the cubic trace's (m2, n) grid: the working set is a
 # few dozen arrays of this many rows by the cutoff, under 4 MB at the
 # default cutoff.
@@ -231,31 +260,41 @@ def _cubic_core(density, exps, gamma, cuts):
         sum over coupled (L1, L2, L3) of  tr(D0 V_L2 D1 V_L3 D2 V_L1),
 
     with D_k the diagonal weights and V_L = c_L W_L the density's banded
-    couplings.  The blocks are stacked as rows of an (m2, n) grid,
-    l = m2 + n, and each band is a grid array per offset o, V_L(l, l + o),
-    zero where l + o falls off the block.  The weights are folded into the
-    bands once, A_L[o] = D0 V_L D1 and C_L[o] = V_L D2.  Each ordered pair
-    (L2, L3) of a coupled triple is traced as a chain: its band product
+    couplings.  Triples whose traces a turn or reversal of the cycle
+    equates form one class (`_cubic_classes`); only each class's
+    representative is traced, and its trace counts once per member.  With
+    equal weights, as in `sum_rule` and `sum_rule_shifted`, every ordering
+    of a triple is one class; with distinct weights each triple is its own.
+
+    The blocks are stacked as rows of an (m2, n) grid, l = m2 + n, and each
+    band is a grid array per offset o, V_L(l, l + o), zero where l + o
+    falls off the block.  The weights are folded into the bands once per
+    chunk of rows, A_L[o] = D0 V_L D1 for each degree that opens a
+    representative's chain (L2) and C_L[o] = V_L D2 for each that continues
+    one (L3).  Each pair (L2, L3) is traced as a chain: its band product
     M = D0 V_L2 D1 V_L3 D2 takes one multiply-add per offset pair (d1, d2),
-    into offset e = d1 + d2, and is contracted with the sum of V_L1 over
-    the L1 that `_coupled_triples` closes the pair with.  Pairs closed by
-    the same degrees share one product and one contraction.  No other L1
-    enters: a triple the triangle rule forbids vanishes only by
+    into offset e = d1 + d2, and is contracted, one dot product per cut,
+    with the band of each degree L1 that closes a representative with it;
+    the dot product counts once per member of that representative's class.
+    Pairs with the same closing degrees and class sizes share one product.
+    No other L1 enters: a triple the triangle rule forbids vanishes only by
     cancellation across blocks.  Every cut shares one set of bands: a
     smaller cut only zeroes the weights of degrees above it.  Returns the
     traces as an array, one per cut.
     """
     d = density.d
     zc = density.zonal_coeffs()
-    closers = {}
-    for L1, L2, L3 in _coupled_triples(density):
-        closers.setdefault((L2, L3), []).append(L1)
-    pairs = {}
-    for pair, L1s in closers.items():
-        pairs.setdefault(tuple(L1s), []).append(pair)
     floor = 1 if gamma is None else 0
     shift = 0.0 if gamma is None else gamma
     powers = _cubic_powers(exps, gamma)
+    closers = {}
+    for (L1, L2, L3), size in _cubic_classes(density, powers).items():
+        closers.setdefault((L2, L3), []).append((L1, size))
+    groups = {}
+    for pair, closing in closers.items():
+        groups.setdefault(tuple(closing), []).append(pair)
+    openers = {L2 for L2, _ in closers}
+    continuers = {L3 for _, L3 in closers}
     cuts = np.asarray(cuts).reshape(-1, 1, 1)
     lcut = int(cuts.max())
     # the weights carry `pad` zero columns on either side, so a view
@@ -292,11 +331,13 @@ def _cubic_core(density, exps, gamma, cuts):
                     v = np.zeros_like(diag[0])
                     v[:, -o:] = diag[-o // 2, :, :max(0, width + o)]
                 V[L, o] = v
-                A[L, o] = wts[0][..., at(0)] * v * wts[1][..., at(o)]
-                C[L, o] = np.zeros_like(wts[2])
-                C[L, o][..., at(0)] = v * wts[2][..., at(o)]
-        for L1s, closed in pairs.items():
-            top = max(L1s)
+                if L in openers:
+                    A[L, o] = wts[0][..., at(0)] * v * wts[1][..., at(o)]
+                if L in continuers:
+                    C[L, o] = np.zeros_like(wts[2])
+                    C[L, o][..., at(0)] = v * wts[2][..., at(o)]
+        for closing, closed in groups.items():
+            top = max(L1 for L1, _ in closing)
             chain = {}
             for L2, L3 in closed:
                 for d1 in range(-L2, L2 + 1, 2):
@@ -310,34 +351,42 @@ def _cubic_core(density, exps, gamma, cuts):
                         else:
                             chain[e] = term
             for e, m in chain.items():
-                closing = sum(V[L1, e] for L1 in L1s if abs(e) <= L1)
-                total += np.sum(m * closing, axis=(1, 2))
+                m = m.reshape(len(total), -1)
+                for L1, size in closing:
+                    if abs(e) <= L1:
+                        total += size * (m @ V[L1, e].reshape(-1))
             # kept, the chain and its temporaries would overlap the next
             # group's or chunk's arrays; the bands go when the next chunk
             # rebinds V, A and C (freed at the chunk's end, they let the
             # heap shrink, and faulting it back cost 15% at ell_cut = 200)
-            del term, chain, m, closing
+            del term, chain, m
     return total
 
 
 def _cubic_bytes(density, lcut):
     """Bytes `_cubic_core` holds at once for the density's trace at lcut
-    and its inner cut.
+    and its inner cut, with any exponents.
 
     Counted in arrays of `_CUBIC_CHUNK_ROWS` rows by the padded grid's
-    lcut + 1 + 2 top columns, k = 2 cuts: the degrees l, and lam and three
-    weights per cut; per degree L its L // 2 + 1 diagonals of L's parity
-    and (L + 1) // 2 negative-offset bands, L + 1 in all, and L + 1 A and
-    C bands per cut; up to top + 1 chain bands per cut and 2k + 1
-    temporaries of a contraction; and the parity-split recurrence's three
-    steps and one temporary, of at most top // 2 + 1 rows each, beside
-    the diagonals it has already read off.
+    lcut + 1 + 2 top columns, k = 2 cuts, for the class table of distinct
+    powers, the largest: there every coupled triple is its own class, so
+    each degree T of a coupled triple opens a chain and continues one, and
+    equal powers open and continue no more.  The arrays are the degrees l,
+    and lam and three weights per cut; per degree L its L // 2 + 1
+    diagonals of L's parity and (L + 1) // 2 negative-offset bands, L + 1
+    in all; per degree T its T + 1 A and T + 1 C bands per cut; the chain
+    of the group closed by the largest T, T + 1 bands per cut, and the 2k
+    temporaries of a chain step, its product and the one before; and the
+    parity-split recurrence's three steps and one temporary, of at most
+    top // 2 + 1 rows each, beside the diagonals it has already read off.
     """
     k = 2
     degrees = density.rho_by_degree()
     top = max(degrees)
-    arrays = (1 + 4 * k + k * (top + 1) + 4 * (top // 2 + 1) + 2 * k + 1
-              + sum((L + 1) * (1 + 2 * k) for L in degrees))
+    coupled = {L for triple in _coupled_triples(density) for L in triple}
+    arrays = (1 + 4 * k + k * (max(coupled) + 1) + 4 * (top // 2 + 1)
+              + 2 * k + sum(L + 1 for L in degrees)
+              + 2 * k * sum(L + 1 for L in coupled))
     rows = min(_CUBIC_CHUNK_ROWS, lcut + 1)
     return 8 * rows * (lcut + 1 + 2 * top) * arrays
 

@@ -520,10 +520,10 @@ def test_cubic_bytes_bound_the_traced_peak(coeffs):
 
 
 def test_cubic_chunks_release_their_chains():
-    # at ell = 1000 (two cuts) the first chunk's contraction holds 35
+    # at ell = 1000 (two cuts) the first chunk's last chain step holds 34.2
     # arrays of one chunk's padded grid; a chain kept past its group, still
     # held while the next chunk builds its three distinct weights, lifts
-    # the peak to 38.7
+    # the peak to 35.7
     den = DensitySpec.zonal(3, {2: 0.1})
     unit = 8 * sumrules._CUBIC_CHUNK_ROWS * (1001 + 2 * 2)
     tracemalloc.start()
@@ -532,7 +532,7 @@ def test_cubic_chunks_release_their_chains():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 34 * unit <= peak <= 36 * unit
+    assert 34 * unit <= peak <= 35 * unit
 
 
 def test_integral_float_cutoff_is_the_integer_cutoff():

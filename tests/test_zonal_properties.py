@@ -23,9 +23,10 @@ from sphere_sumrules.harmonics import (HarmonicIndex, _zonal_bands,
                                        coupling_W, degeneracy, enumerate_m,
                                        sphere_volume)
 from sphere_sumrules import rayleigh_ritz, sumrules
-from sphere_sumrules.sumrules import (_coupled_triples, _cubic_core,
-                                      epsilon_closed, epsilon_recursive,
-                                      p_min, sum_rule, sum_rule_shifted)
+from sphere_sumrules.sumrules import (_coupled_triples, _cubic_classes,
+                                      _cubic_core, epsilon_closed,
+                                      epsilon_recursive, p_min, sum_rule,
+                                      sum_rule_shifted)
 
 
 @st.composite
@@ -127,6 +128,64 @@ def test_cubic_core_keeps_to_coupled_triples(d, coeffs, exps, gamma, chunk):
     want = _naive_cubic_trace(den, exps, gamma, 30)
     with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
         got, = _cubic_core(den, exps, gamma, (30,))
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("coeffs", [{1: 0.2, 2: 0.1, 3: 0.1},
+                                    {1: 0.2, 4: 0.3}, {1: 0.2, 3: 0.1, 4: 0.3},
+                                    {2: 0.1, 3: 0.1, 5: 0.1}])
+@pytest.mark.parametrize("powers", [(1, 1, 1), (1, 1, 2), (1, 2, 1),
+                                    (2, 1, 1), (1, 2, 3)])
+def test_cubic_classes_partition_the_coupled_triples(coeffs, powers):
+    # every coupled triple falls in exactly one class, and every class is
+    # represented by a coupled triple; the {1, 4} densities hold (1, 1, 4),
+    # which parity allows and the triangle rule forbids
+    den = DensitySpec.zonal(3, coeffs)
+    triples = _coupled_triples(den)
+    classes = _cubic_classes(den, powers)
+    assert sum(classes.values()) == len(triples)
+    assert set(classes) <= set(triples)
+    if len(set(powers)) == 3:
+        assert classes == dict.fromkeys(triples, 1)
+
+
+@pytest.mark.parametrize("powers, want", [
+    # all orderings of a triple form one class
+    ((1, 1, 1), {(1, 1, 2): 3, (1, 2, 3): 6, (2, 2, 2): 1, (2, 3, 3): 3}),
+    # (a, a, b): the one reversal that keeps the weights swaps L1 and L3
+    ((1, 1, 2), {(1, 1, 2): 2, (1, 2, 1): 1, (1, 2, 3): 2, (1, 3, 2): 2,
+                 (2, 1, 3): 2, (2, 2, 2): 1, (2, 3, 3): 2, (3, 2, 3): 1}),
+    # (a, b, a): it swaps L2 and L3
+    ((1, 2, 1), {(1, 1, 2): 2, (2, 1, 1): 1, (1, 2, 3): 2, (2, 1, 3): 2,
+                 (3, 1, 2): 2, (2, 2, 2): 1, (2, 3, 3): 1, (3, 2, 3): 2}),
+    # (b, a, a): it swaps L1 and L2
+    ((2, 1, 1), {(1, 1, 2): 1, (1, 2, 1): 2, (1, 2, 3): 2, (1, 3, 2): 2,
+                 (2, 3, 1): 2, (2, 2, 2): 1, (2, 3, 3): 2, (3, 3, 2): 1}),
+])
+def test_cubic_classes_of_three_degrees(powers, want):
+    # the cycle V_L1 -w0- V_L2 -w1- V_L3 -w2- keeps its trace under the moves
+    # that map its weights onto themselves; 13 coupled triples in all
+    den = DensitySpec.zonal(3, {1: 0.2, 2: 0.1, 3: 0.1})
+    assert _cubic_classes(den, powers) == want
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("exps, gamma", [
+    ((0, 0, 0), None), ((0, 0, 1), None), ((0, 1, 0), None),
+    ((1, 0, 0), None), ((0, 1, 2), None),
+    # shifted, every weight is 1/(lambda + gamma) whatever the exponents
+    ((0, 0, 0), 1e-3), ((0, 1, 2), 0.5),
+])
+def test_cubic_core_matches_naive_trace_per_weight_pattern(d, exps, gamma):
+    # each weight pattern (all equal, (a, a, b), (a, b, a), (b, a, a), all
+    # distinct) admits its own moves; the naive trace sums every ordered
+    # triple, so a wrong move changes the result.  Coefficients of both
+    # signs make the classes' traces differ.  abs=0: approx's default
+    # absolute tolerance of 1e-12 would swamp the relative one.
+    den = DensitySpec.zonal(d, {1: 0.04, 2: -0.03, 3: 0.02})
+    want = _naive_cubic_trace(den, exps, gamma, 22)
+    with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", 5):
+        got, = _cubic_core(den, exps, gamma, (22,))
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
