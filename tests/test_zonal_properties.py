@@ -8,7 +8,9 @@ densities whose parity-allowed triples the triangle rule forbids), the
 zero-mode energy recursion against its closed forms, the zonal-block
 variational spectrum against the full-matrix one, the single zero mode of
 that spectrum, and the exact sum rules against the linear extrapolation of
-the gamma-shifted route to gamma = 0.
+the gamma-shifted route to gamma = 0.  Fixed densities also pin the
+symmetry classes of coupled triples under each pattern of weight powers,
+and the cubic trace against the naive loop for each pattern.
 """
 
 import math
@@ -179,8 +181,7 @@ def test_cubic_classes_of_three_degrees(powers, want):
 def test_cubic_core_matches_naive_trace_per_weight_pattern(d, exps, gamma):
     # each weight pattern (all equal, (a, a, b), (a, b, a), (b, a, a), all
     # distinct) admits its own moves; the naive trace sums every ordered
-    # triple, so a wrong move changes the result.  Coefficients of both
-    # signs make the classes' traces differ.  abs=0: approx's default
+    # triple, so a wrong move changes the result.  abs=0: approx's default
     # absolute tolerance of 1e-12 would swamp the relative one.
     den = DensitySpec.zonal(d, {1: 0.04, 2: -0.03, 3: 0.02})
     want = _naive_cubic_trace(den, exps, gamma, 22)
