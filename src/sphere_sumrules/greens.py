@@ -75,9 +75,8 @@ def _envelope_tail_bound(d, q, gamma, cut):
     shift = gamma or 0.0
 
     def f(l):
-        l = np.asarray(l, dtype=float)
-        return np.exp(harmonics.log_degeneracy(d, l)
-                      - (q + 1) * np.log(l * (l + d - 1) + shift)) / vol
+        return (harmonics._degeneracy_at(d, l)
+                / (l * (l + d - 1) + shift) ** (q + 1) / vol)
 
     value, err = tails.accelerated_sum(f, cut + 1, switch=cut + 1)
     return float(value + abs(err) + f(cut + 1.0))
@@ -90,11 +89,11 @@ def _spectral_terms(d, q, gamma, cosgamma, ell_cut):
                               "got %r" % (cosgamma,))
     alpha = (d - 1) / 2.0
     ls = np.arange(1, ell_cut + 1, dtype=float)
-    ratio = (harmonics.gegenbauer_all(alpha, ell_cut, x)[1:]
-             * np.exp(-harmonics.log_gegenbauer_at_one(alpha, ls)))
+    # g_l / C_l^alpha(1) = (2l + d - 1) / (d - 1)
+    weights = harmonics.gegenbauer_all(alpha, ell_cut, x)[1:] \
+        * (2 * ls + d - 1) / (d - 1)
     lam = ls * (ls + d - 1) + (gamma or 0.0)
-    degs = np.exp(harmonics.log_degeneracy(d, ls))
-    return degs * ratio / lam ** (q + 1) / harmonics.sphere_volume(d)
+    return weights / lam ** (q + 1) / harmonics.sphere_volume(d)
 
 
 def green_spectral(order, cosgamma, ell_cut=2000, regularize=False):

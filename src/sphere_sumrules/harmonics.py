@@ -26,7 +26,10 @@ recurrence that holds only the nonzero bands (`_zonal_bands`);
 `zonal_coupling_w` reads a single entry off it.  That reduction, and the
 fully m-summed pair strength S_L(l, l') (a Gegenbauer product-linearization
 identity, smooth in continuous l), are what make the infinite degree sums
-in the sum-rule engine tractable.
+in the sum-rule engine tractable.  Every degree factor of those sums (the
+pair strength, the degeneracy of a continuous degree, C_n^a(1)) is a ratio
+of products of linear factors in the degree, taken as rising factorials
+(`_rising`).
 """
 
 from dataclasses import dataclass
@@ -41,9 +44,9 @@ from .quadrature import quadrature
 
 __all__ = [
     "HarmonicIndex", "degeneracy", "eigenvalue", "sphere_volume",
-    "gegenbauer", "gegenbauer_all", "gegenbauer_at_one", "log_gegenbauer_at_one",
+    "gegenbauer", "gegenbauer_all", "gegenbauer_at_one",
     "eval_harmonic", "coupling_W", "zonal_coupling_w", "addition_eval",
-    "pair_strength", "log_degeneracy", "enumerate_m",
+    "pair_strength", "enumerate_m",
 ]
 
 # ----------------------------------------------------------------------
@@ -71,39 +74,23 @@ def degeneracy(d, ell):
     return math.comb(ell + d - 1, ell) + math.comb(ell + d - 2, ell - 1)
 
 
-def log_degeneracy(d, ell):
-    """log of the degeneracy, valid for continuous ell > 0 (tail analysis)."""
+def _degeneracy_at(d, ell):
+    """The degeneracy as a polynomial in ell, (2 ell + d - 1) (ell + 1)_{d-2}
+    / (d - 1)!, for continuous degrees ell >= 0 and d >= 2, as the degree
+    sums' tails need it."""
     ell = np.asarray(ell, dtype=float)
-    return _log_degeneracy(d, ell, *_lgamma(np.stack([ell + d - 1, ell + 1])))
+    return (2 * ell + d - 1) * _rising(ell + 1, d - 2) / math.factorial(d - 1)
 
 
-def _log_degeneracy(d, ell, lg_top, lg_ell):
-    """log_degeneracy from lgamma(ell + d - 1) and lgamma(ell + 1)."""
-    return np.log(2 * ell + d - 1) + lg_top - lg_ell - math.lgamma(d)
-
-
-def _lgamma(x):
-    """math.lgamma elementwise, called once per distinct value of x.
-
-    Degree grids repeat most of their arguments, so gathering from the
-    distinct values costs far less than a call per element; the values are
-    math.lgamma's own.  The arguments come in sorted runs (one per
-    argument row and offset), which a stable sort merges faster than
-    np.unique's quicksort orders them.
-    """
+def _rising(x, n, y=None):
+    """The rising factorial (x)_n = x (x+1) ... (x+n-1) elementwise, or with
+    y the ratio (x)_n / (y)_n taken factor by factor, which stays finite
+    where the two products would overflow."""
     x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    order = np.argsort(flat, kind="stable")
-    ordered = flat[order]
-    first = np.empty(flat.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    values = np.fromiter(map(math.lgamma, ordered[starts].tolist()),
-                         dtype=float, count=starts.size)
-    out = np.empty(flat.size)
-    out[order] = np.repeat(values, np.diff(starts, append=flat.size))
-    return out.reshape(x.shape)
+    out = np.ones(np.broadcast(x, y).shape)
+    for j in range(n):
+        out *= (x + j) if y is None else (x + j) / (y + j)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -155,21 +142,19 @@ def gegenbauer_all(alpha, nmax, x):
     return out.reshape((nmax + 1,) + x.shape)
 
 
-def log_gegenbauer_at_one(alpha, n):
-    """log C_n^alpha(1) = log [Gamma(n+2a) / (n! Gamma(2a))], continuous n."""
-    n = np.asarray(n, dtype=float)
-    return _log_gegenbauer_at_one(alpha,
-                                  *_lgamma(np.stack([n + 2 * alpha, n + 1])))
-
-
-def _log_gegenbauer_at_one(alpha, lg_top, lg_n):
-    """log_gegenbauer_at_one from lgamma(n + 2 alpha) and lgamma(n + 1)."""
-    return lg_top - lg_n - math.lgamma(2 * alpha)
-
-
 def gegenbauer_at_one(alpha, n):
-    """C_n^alpha(1), the maximum of |C_n^alpha| on [-1, 1] for alpha > 0."""
-    return float(np.exp(log_gegenbauer_at_one(alpha, n)))
+    """C_n^alpha(1) = (2 alpha)_n / n!, the maximum of |C_n^alpha| on [-1, 1]
+    for alpha > 0.
+
+    Each factor of a product adds its rounding, so where 2 alpha = m + 1 is
+    a positive integer (every order (d-1)/2 of the d-sphere) the value is
+    taken as (n+1)_m / m!, m factors rather than n.
+    """
+    n = check_integer(n, "Gegenbauer degree", most=None)
+    m = 2 * alpha - 1
+    if m >= 0 and float(m).is_integer():
+        return float(_rising(n + 1, int(m)) / math.factorial(int(m)))
+    return float(_rising(2 * alpha, n, 1.0))
 
 
 # ----------------------------------------------------------------------
@@ -549,38 +534,32 @@ def zonal_coupling_w(d, L, l1, l2, m2):
 
 
 def _pair_strength_raw(d, L, l, lp):
-    """The smooth log-space pair-strength formula, no lattice rule checks.
+    """The smooth pair-strength formula, no lattice rule checks.
 
-    Valid wherever every log-gamma argument is positive, in particular for
-    continuous degrees away from the small-l triangle boundary.
+    With a = (d-1)/2, k = (l + l' - L)/2 and b = l' - k, Dougall's
+    coefficient reduces to rising factorials,
+
+        S_L(l, l') = P_b (2l+d-1) (2l'+d-1) (k+1)_{d-2+L} / ((k+L+a) (a+k)_L),
+
+    where P_b = (L+a) [(a)_{L-b}/(L-b)!] [(a)_b/b!] / ((d-2)! (d-1)^2 g_L Vol)
+    depends on the offset l' - l = 2b - L alone.  Valid for continuous
+    k >= 0 and integer offsets |l' - l| <= L of the parity of L.
     """
     alpha = (d - 1) / 2.0
     l = np.asarray(l, dtype=float)
     lp = np.asarray(lp, dtype=float)
     k = (l + lp - L) / 2.0
-    sigma = (l + lp + L) / 2.0
-    # every log-gamma argument of the formula, the degeneracies' and the
-    # Gegenbauer norms' included, in one pass: the grid's rows share most
-    # of their values
-    args = np.broadcast_arrays(
-        k + 1, l - k + 1, lp - k + 1, alpha + k, alpha + l - k,
-        alpha + lp - k, 2 * alpha + sigma, alpha + sigma,
-        l + d - 1, l + 1, lp + d - 1, lp + 1, l + 2 * alpha, lp + 2 * alpha)
-    (g_k, g_lk, g_lpk, g_ak, g_alk, g_alpk, g_as2, g_as,
-     g_dl, g_l, g_dlp, g_lp, g_cl, g_clp) = _lgamma(np.stack(args))
-    log_a = (np.log(L + alpha) - np.log(sigma + alpha) + math.lgamma(L + 1)
-             - g_k - g_lk - g_lpk + g_ak + g_alk + g_alpk
-             - 2.0 * math.lgamma(alpha) + g_as2 - g_as
-             - math.lgamma(2 * alpha + L))
-    log_s = (_log_degeneracy(d, l, g_dl, g_l)
-             + _log_degeneracy(d, lp, g_dlp, g_lp)
-             - math.log(sphere_volume(d))
-             + _log_gegenbauer_at_one(alpha, math.lgamma(L + 2 * alpha),
-                                      math.lgamma(L + 1))
-             - math.log(degeneracy(d, L))
-             + log_a - _log_gegenbauer_at_one(alpha, g_cl, g_l)
-             - _log_gegenbauer_at_one(alpha, g_clp, g_lp))
-    return np.exp(log_s)
+    # (a)_j / j! for j = 0..L, factor by factor as _rising takes it
+    half = np.cumprod(np.append(1.0, (alpha + np.arange(L))
+                                / np.arange(1, L + 1)))
+    scale = (L + alpha) / (math.factorial(d - 2) * (d - 1) ** 2
+                           * degeneracy(d, L) * sphere_volume(d))
+    prefactor = scale * half[::-1] * half
+    b = np.rint(lp - k).astype(int)
+    # (k+1)_{d-2+L} / (a+k)_L as L ratios, then (k+L+1)_{d-2}
+    return (prefactor[b] * (2 * l + d - 1) * (2 * lp + d - 1)
+            * _rising(k + 1, L, alpha + k) * _rising(k + L + 1, d - 2)
+            / (k + L + alpha))
 
 
 def _lattice_allowed(L, l, lp):

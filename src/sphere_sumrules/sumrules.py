@@ -95,7 +95,7 @@ class SumRuleResult:
     sums (the Euler-Maclaurin remainders of the band sums and the uniform
     trace, and the cubic trace's cut), not floating-point rounding, which
     can exceed it: on the tilt at kappa = 0.1 of its bound, sum_rule(3, 3)
-    is 5.6e-17 off the closed form while reporting 1.3e-17.
+    is 8.3e-17 off the closed form while reporting 1.3e-17.
     """
 
     d: int
@@ -115,9 +115,7 @@ def _spectral_trace(d, p, gamma=0.0, switch=DEFAULT_ELL_CUT):
     _check_convergent(d, p, "uniform trace")
 
     def f(l):
-        l = np.asarray(l, dtype=float)
-        return np.exp(harmonics.log_degeneracy(d, l)
-                      - p * np.log(l * (l + d - 1) + gamma))
+        return harmonics._degeneracy_at(d, l) / (l * (l + d - 1) + gamma) ** p
 
     return tails.accelerated_sum(f, 1, switch=switch)
 

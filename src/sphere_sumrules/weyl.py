@@ -214,8 +214,7 @@ def delta(d, ell_max, s):
     ell_max = check_integer(ell_max, "ell_max", least=1, most=None)
 
     def term(l):
-        return np.exp(harmonics.log_degeneracy(d, l)) / \
-            (l * (l + d - 1.0)) ** s
+        return harmonics._degeneracy_at(d, l) / (l * (l + d - 1.0)) ** s
 
     exact_tail, _ = tails.accelerated_sum(term, ell_max + 1,
                                           switch=ell_max + 201)

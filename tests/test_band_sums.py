@@ -1,34 +1,35 @@
-"""Pair strengths and band sums against the code they replaced.
+"""Pair strengths against a 40-digit reference, band sums against the code
+they replaced.
 
-Oracle: the log-gamma pass, the pair-strength formula, the Euler-Maclaurin
-tails, the band sum, the uniform trace and the J2 trace as they were first
-written: `math.lgamma` through `np.vectorize`, one pass per log-gamma term,
-one pair-strength call per offset for its direct degrees and two more for
-its tail (the integral's nodes, then the stencil), and the three band sums
-of J2 taken one by one.  The engine now evaluates `math.lgamma` once per
-distinct argument of one pair-strength call, takes every offset of a band
-sum in one such call, evaluates each tail's summand once and takes each
-distinct J2 band sum once, but it forms every argument and every sum in
-the same order, so each value must equal the oracle's exactly
-(==, np.array_equal): pair strengths on lattice grids and at continuous
-degrees, J1 and J2, and both sum rules on random zonal densities.
+The degree factors (pair strengths, the degeneracy of a continuous degree,
+C_n^a(1)) are checked against `reference`, which takes them from the Gamma
+function in mpmath at 40 digits, to 4e-15 relative.
+
+Oracle for the aggregation: the Euler-Maclaurin tails, the band sum, the
+uniform trace and the J2 trace as they were first written, on the package's
+own pair strengths and degeneracy: one pair-strength call per offset for its
+direct degrees and two more for its tail (the integral's nodes, then the
+stencil), and the three band sums of J2 taken one by one.  The engine now
+takes every offset of a band sum in one pair-strength call, evaluates each
+tail's summand once and takes each distinct J2 band sum once, but it forms
+every sum in the same order, so each value must equal the oracle's exactly
+(==): J1 and J2, and both sum rules on random zonal densities.
 """
 
 from contextlib import contextmanager
-import math
 from unittest import mock
 
+from mpmath import mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reference
 from sphere_sumrules import harmonics, sumrules, tails
 from sphere_sumrules.density import DensitySpec
 from sphere_sumrules.errors import DivergentSumError
-from sphere_sumrules.harmonics import (_lgamma, _pair_strength_raw,
-                                       degeneracy, log_degeneracy,
-                                       log_gegenbauer_at_one, pair_strength,
-                                       sphere_volume)
+from sphere_sumrules.harmonics import (_degeneracy_at, _pair_strength_raw,
+                                       gegenbauer_at_one, pair_strength)
 from sphere_sumrules.sumrules import (_cubic_trace, density_integrals,
                                       p_min, sum_rule, sum_rule_shifted)
 
@@ -36,67 +37,13 @@ from test_zonal_properties import zonal_densities
 
 
 # ----------------------------------------------------------------------
-# the oracle, as first written
-
-
-_oracle_lgamma = np.vectorize(math.lgamma, otypes=[float])
-
-
-def _oracle_log_degeneracy(d, ell):
-    ell = np.asarray(ell, dtype=float)
-    return (np.log(2 * ell + d - 1)
-            + _oracle_lgamma(ell + d - 1) - _oracle_lgamma(ell + 1)
-            - math.lgamma(d))
-
-
-def _oracle_log_gegenbauer_at_one(alpha, n):
-    n = np.asarray(n, dtype=float)
-    return (_oracle_lgamma(n + 2 * alpha) - _oracle_lgamma(n + 1)
-            - math.lgamma(2 * alpha))
-
-
-def _oracle_pair_strength_raw(d, L, l, lp):
-    alpha = (d - 1) / 2.0
-    l = np.asarray(l, dtype=float)
-    lp = np.asarray(lp, dtype=float)
-    k = (l + lp - L) / 2.0
-    sigma = (l + lp + L) / 2.0
-    lg = _oracle_lgamma
-    log_a = (np.log(L + alpha) - np.log(sigma + alpha) + math.lgamma(L + 1)
-             - lg(k + 1) - lg(l - k + 1) - lg(lp - k + 1)
-             + lg(alpha + k) + lg(alpha + l - k)
-             + lg(alpha + lp - k) - 2.0 * math.lgamma(alpha)
-             + lg(2 * alpha + sigma) - lg(alpha + sigma)
-             - math.lgamma(2 * alpha + L))
-    log_s = (_oracle_log_degeneracy(d, l) + _oracle_log_degeneracy(d, lp)
-             - math.log(sphere_volume(d))
-             + _oracle_log_gegenbauer_at_one(alpha, L)
-             - math.log(degeneracy(d, L))
-             + log_a - _oracle_log_gegenbauer_at_one(alpha, l)
-             - _oracle_log_gegenbauer_at_one(alpha, lp))
-    return np.exp(log_s)
-
-
-def _oracle_pair_strength(d, L, l, lp):
-    l = np.asarray(l)
-    lp_arr = np.broadcast_to(np.asarray(lp), l.shape) if l.ndim \
-        else np.asarray(lp)
-    scalar = l.ndim == 0
-    l = np.atleast_1d(l).astype(float)
-    lp_arr = np.atleast_1d(lp_arr).astype(float)
-    ok = ((np.rint(l + lp_arr + L).astype(int) % 2 == 0)
-          & (np.abs(l - lp_arr) <= L) & (L <= l + lp_arr)
-          & (l >= 0) & (lp_arr >= 0))
-    out = np.zeros_like(l)
-    if np.any(ok):
-        out[ok] = _oracle_pair_strength_raw(d, L, l[ok], lp_arr[ok])
-    return float(out[0]) if scalar else out
+# the oracle: the summation as first written, on the package's degree factors
 
 
 def _oracle_pair_strength_offset(d, L, delta):
     if abs(delta) > L or (L + delta) % 2 != 0:
         return None
-    return lambda l: _oracle_pair_strength_raw(
+    return lambda l: _pair_strength_raw(
         d, L, np.asarray(l, dtype=float), np.asarray(l, dtype=float) + delta)
 
 
@@ -134,9 +81,7 @@ def _oracle_spectral_trace(d, p, gamma=0.0, switch=200):
     sumrules._check_convergent(d, p, "uniform trace")
 
     def f(l):
-        l = np.asarray(l, dtype=float)
-        return np.exp(harmonics.log_degeneracy(d, l)
-                      - p * np.log(l * (l + d - 1) + gamma))
+        return _degeneracy_at(d, l) / (l * (l + d - 1) + gamma) ** p
 
     return _oracle_accelerated_sum(f, 1, switch=switch)
 
@@ -152,7 +97,7 @@ def _oracle_band_sum(d, L, a, b, gamma=0.0, switch=200):
         ls = np.arange(start, switch, dtype=float)
         lam1 = ls * (ls + d - 1) + gamma
         lam2 = (ls + delta) * (ls + delta + d - 1) + gamma
-        direct = _oracle_pair_strength(d, L, ls, ls + delta)
+        direct = pair_strength(d, L, ls, ls + delta)
         total += float(np.sum(direct / (lam1 ** a * lam2 ** b)))
 
         def f(l, s=smooth, dlt=delta):
@@ -183,100 +128,108 @@ def _oracle_J2(q, p, r, density, switch):
 @contextmanager
 def _oracle_engine():
     """The package's engine with the oracle's band-sum path swapped in."""
-    with mock.patch.object(harmonics, "log_degeneracy",
-                           _oracle_log_degeneracy), \
-            mock.patch.multiple(sumrules, _band_sum=_oracle_band_sum,
-                                _spectral_trace=_oracle_spectral_trace,
-                                _J2=_oracle_J2):
+    with mock.patch.multiple(sumrules, _band_sum=_oracle_band_sum,
+                             _spectral_trace=_oracle_spectral_trace,
+                             _J2=_oracle_J2):
         yield
 
 
 # ----------------------------------------------------------------------
-# pair strengths
+# degree factors against the reference
+
+
+RTOL = 4e-15
+
+# degrees from the first ones to MAX_ELL_CUT
+LATTICE = np.array([*range(11), 200, 1000, 5000, 10 ** 6])
+
+# continuous degrees: some of the tail's own nodes at the default switch
+# (Gauss-Legendre, the difference stencil), non-integers, and degrees just
+# below powers of two, where l + d - 1 and l + (d - 1) part in the last bit
+CONTINUOUS = np.concatenate([
+    tails.tail_points(200)[::9], [0.25, 37.3, 200.5, 5000.5, 10 ** 6 + 0.5],
+    2.0 ** np.arange(8, 13) - 0.01])
+
+
+def _allowed(L, l, lp):
+    return l >= 0 and lp >= 0 and (l + lp + L) % 2 == 0 \
+        and abs(l - lp) <= L <= l + lp
+
+
+def _assert_pair_strengths(d, L, ls, delta, got):
+    # at l' = l + delta exactly: the float l + delta may have rounded
+    for g, l in zip(got.tolist(), ls.tolist()):
+        with mp.workdps(reference.DIGITS):
+            want = reference.pair_strength(d, L, l, mp.mpf(l) + delta)
+        assert reference.relative_error(g, want) <= RTOL, (d, L, l, delta)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
 def test_pair_strength_matches_oracle_on_lattice(d, L):
-    ls = np.arange(0, 80)
     for delta in range(-L - 1, L + 2):
-        got = pair_strength(d, L, ls, ls + delta)
-        assert np.array_equal(got, _oracle_pair_strength(d, L, ls, ls + delta))
+        got = pair_strength(d, L, LATTICE, LATTICE + delta)
+        ok = np.array([_allowed(L, l, l + delta) for l in LATTICE.tolist()])
+        assert not got[~ok].any()
+        _assert_pair_strengths(d, L, LATTICE[ok], delta, got[ok])
+        _assert_pair_strengths(d, L, LATTICE[ok], delta, _pair_strength_raw(
+            d, L, LATTICE[ok], LATTICE[ok] + delta))
     for l, lp in ((L, 0), (3, 3 + L), (7, 7), (40, 40 + L)):
-        assert pair_strength(d, L, l, lp) == _oracle_pair_strength(d, L, l, lp)
-
-
-# continuous degrees >= 200: the tail's own nodes (Gauss-Legendre and the
-# difference stencil), a fine grid, and degrees just below powers of two,
-# where l + d - 1 and l + (d - 1) part in the last bit
-CONTINUOUS = np.concatenate([
-    200.0 / tails._T, 200.0 + tails._STEP * np.arange(-2, 3),
-    np.linspace(200.0, 5000.0, 331),
-    np.subtract.outer(2.0 ** np.arange(8, 13), np.linspace(0.01, 4.9, 40))
-    .ravel()])
+        got = pair_strength(d, L, l, lp)
+        assert isinstance(got, float)
+        if _allowed(L, l, lp):
+            _assert_pair_strengths(d, L, np.array([l]), lp - l,
+                                   np.array([got]))
+        else:
+            assert got == 0.0
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_pair_strength_offset_matches_oracle_at_continuous_degrees(d, L):
-    nodes = CONTINUOUS
     for delta in range(-L, L + 1, 2):
-        got = _pair_strength_raw(d, L, nodes, nodes + delta)
-        assert np.array_equal(got, _oracle_pair_strength_offset(d, L, delta)(nodes))
+        nodes = CONTINUOUS[CONTINUOUS + delta >= 0]
+        _assert_pair_strengths(d, L, nodes, delta,
+                               _pair_strength_raw(d, L, nodes, nodes + delta))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("L", [7, 60])
+def test_pair_strength_matches_reference_at_high_support_degree(d, L):
+    # at L = 60 and l = 10^6, (k+1)_{d-2+L} alone is past 1e366; its L
+    # ratios to (a+k)_L stay near 1
+    ls = np.array([L, L + 0.5, L + 37.3, 200.0, 5000.5, 10.0 ** 6])
+    for delta in range(-L, L + 1, 2):
+        _assert_pair_strengths(d, L, ls, delta,
+                               _pair_strength_raw(d, L, ls, ls + delta))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_log_degeneracy_and_gegenbauer_norm_match_oracle(d):
-    ells = np.concatenate([np.arange(1.0, 300.0), CONTINUOUS])
-    assert np.array_equal(log_degeneracy(d, ells),
-                          _oracle_log_degeneracy(d, ells))
+    # relative errors, that is differences of the logs
+    ells = np.concatenate([LATTICE[1:], CONTINUOUS])
+    for g, l in zip(_degeneracy_at(d, ells).tolist(), ells.tolist()):
+        assert reference.relative_error(g, reference.degeneracy(d, l)) <= RTOL
     alpha = (d - 1) / 2.0
-    assert np.array_equal(log_gegenbauer_at_one(alpha, ells),
-                          _oracle_log_gegenbauer_at_one(alpha, ells))
-    assert log_degeneracy(d, 7) == _oracle_log_degeneracy(d, 7)
+    for n in LATTICE.tolist():
+        want = reference.gegenbauer_at_one(alpha, n)
+        assert reference.relative_error(gegenbauer_at_one(alpha, n),
+                                        want) <= RTOL
 
 
-# ----------------------------------------------------------------------
-# _lgamma at its edges
-
-
-def test_lgamma_keeps_shapes_and_values():
-    grid = np.array([[0.5, 1.0, 2.5], [2.5, 1e-3, 171.5]])
-    got = _lgamma(grid)
-    assert got.shape == grid.shape
-    assert np.array_equal(got, _oracle_lgamma(grid))
-    scalar = _lgamma(3.5)
-    assert isinstance(scalar, np.ndarray) and scalar.shape == ()
-    assert scalar == math.lgamma(3.5)
-    assert _lgamma(np.array([])).shape == (0,)
-
-
-def test_lgamma_equals_math_lgamma_on_shuffled_repeats():
-    # sorted runs with repeats, as a degree grid gives, shuffled, so the
-    # gather back to each element's place is checked, and at the 0-d and
-    # empty ends
-    rng = np.random.default_rng(7)
-    runs = np.concatenate([np.arange(1, 60) + s for s in (0.5, 1.0, 2.5)])
-    x = rng.permutation(np.tile(runs, 4)).reshape(12, -1)
-    got = _lgamma(x)
-    assert got.shape == x.shape
-    for g, v in zip(got.ravel().tolist(), x.ravel().tolist()):
-        assert g == math.lgamma(v)
-    zero_d = _lgamma(np.array(7.25))
-    assert zero_d.shape == () and zero_d == math.lgamma(7.25)
-    assert _lgamma(np.empty((0, 3))).shape == (0, 3)
-
-
-def test_lgamma_passes_nan_and_inf_through():
-    got = _lgamma(np.array([np.nan, 2.0, np.nan, np.inf]))
-    assert np.isnan(got[[0, 2]]).all()
-    assert got[1] == 0.0 and got[3] == np.inf
-
-
-@pytest.mark.parametrize("bad", [0, 0.0, -1, -2.0, np.array([1.5, -3.0])])
-def test_lgamma_raises_at_poles(bad):
-    with pytest.raises(ValueError):
-        _lgamma(bad)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_reference_pair_strengths_sum_to_degeneracy(d):
+    # completeness: sum over l' of S_L(l, l') is the integral of
+    # sum_m |Y_lm|^2 |Y_LM|^2, which is g_l / Vol
+    dps = mp.dps
+    with mp.workdps(reference.DIGITS):
+        for L in range(5):
+            for l in (L, 7, 200):
+                total = sum(reference.pair_strength(d, L, l, lp)
+                            for lp in range(abs(l - L), l + L + 1, 2))
+                want = reference.degeneracy(d, l) / reference.volume(d)
+                assert abs(total / want - 1) < 1e-35
+    assert mp.dps == dps
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from scipy.special import eval_gegenbauer, roots_legendre, sph_harm_y
 from sphere_sumrules.errors import ValidationError
 from sphere_sumrules.harmonics import (
     HarmonicIndex,
+    _degeneracy_at,
     _zonal_bands,
     addition_eval,
     coupling_W,
@@ -27,7 +28,6 @@ from sphere_sumrules.harmonics import (
     gegenbauer,
     gegenbauer_all,
     gegenbauer_at_one,
-    log_degeneracy,
     pair_strength,
     sphere_volume,
     zonal_coupling_w,
@@ -64,9 +64,9 @@ def test_degeneracies_match_closed_forms():
 def test_log_degeneracy_interpolates_integers():
     for d in (2, 3, 4, 5):
         ells = np.arange(1, 20, dtype=float)
-        got = np.exp(log_degeneracy(d, ells))
+        got = _degeneracy_at(d, ells)
         want = np.array([degeneracy(d, int(l)) for l in ells], dtype=float)
-        assert np.allclose(got, want, rtol=1e-12)
+        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -104,12 +104,19 @@ def test_gegenbauer_keeps_the_shape_of_x():
 
 
 def test_gegenbauer_at_one():
-    for alpha in (0.5, 1.0, 2.0):
+    # integer 2 alpha takes (n+1)_{2 alpha - 1}, the others (2 alpha)_n
+    for alpha in (0.5, 1.0, 2.0, 0.7, 1.25):
         for n in (0, 1, 3, 8):
             want = math.gamma(n + 2 * alpha) / (
                 math.factorial(n) * math.gamma(2 * alpha))
             assert gegenbauer_at_one(alpha, n) == pytest.approx(want, rel=1e-12)
             assert gegenbauer(alpha, n, 1.0) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [2.5, -1, "3", None])
+def test_gegenbauer_at_one_rejects_non_integer_degree(n):
+    with pytest.raises(ValidationError, match="Gegenbauer degree"):
+        gegenbauer_at_one(1.5, n)
 
 
 # ----------------------------------------------------------------------

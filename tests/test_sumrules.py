@@ -74,6 +74,20 @@ def test_zeta_uniform_closed_forms():
         assert zeta_uniform(d, p) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("switch", [200, 800, 3000])
+def test_uniform_trace_within_four_ulp_of_closed_forms(switch):
+    # the closed forms of the validate suite's uniform-zeta check
+    cases = {
+        (2, 2): 1.0,
+        (3, 2): 1.0 / 16 + PI ** 2 / 12,
+        (4, 3): 2 * weyl.hurwitz_zeta(3.0, 1.0) / 27 + 23.0 / 1458,
+        (5, 3): 5.0 / 6144 + 19 * PI ** 2 / 2304,
+    }
+    for (d, p), want in cases.items():
+        got, _ = sumrules._spectral_trace(d, p, switch=switch)
+        assert abs(got - want) <= 4 * math.ulp(want), (d, p)
+
+
 def test_zeta_uniform_sanity_vs_direct_sum():
     # brute partial sum plus crude remainder bound brackets the value
     for d, p in ((2, 2), (3, 2), (4, 3), (5, 3)):
@@ -336,6 +350,13 @@ def test_sum_rule_matches_closed_reference(d, p, kappa):
     assert res.value == pytest.approx(want, rel=1e-6)
     assert res.d == d and res.p == p
     assert res.provenance == "exact-engine"
+
+
+@pytest.mark.parametrize("ell_cut", [200, 3000])
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
+def test_sum_rule_2_on_tilt_within_rounding_of_closed_form(kappa, ell_cut):
+    got = sum_rule(3, 2, DensitySpec.tilted(3, kappa), ell_cut=ell_cut)
+    assert abs(got.value - closed_form_reference(3, 2, kappa)) <= 1e-15
 
 
 def test_closed_reference_samples():
