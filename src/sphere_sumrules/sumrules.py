@@ -13,15 +13,16 @@ in harmonic coefficient space:
   the density's coefficient vector c through its coupling matrix
   B = 1 + sigma and the inverse Laplacian G = 1/lambda, on the block that
   holds the zero mode (exact finite sums, no truncation);
-* J-type traces: an infinite degree sum handled by closed-form pair
-  strengths S_L(l, l') plus Euler-Maclaurin tail acceleration, and (for
-  zonal densities with coupled degree triples) a triple trace, taken on
-  every m2 block at once as chains of banded products D W D W D closed by
-  the third degree's band;
+* J-type traces tr(G^(q1+1) B ... G^(qk+1) B): an infinite degree sum
+  handled by closed-form pair strengths S_L(l, l') plus Euler-Maclaurin
+  tail acceleration, and (for zonal densities with coupled degree triples)
+  a triple trace, taken on every m2 block at once as chains of banded
+  products D W D W D closed by the third degree's band;
 * the zero-mode energy coefficients eps_1..eps_4 of the gamma-shifted
   problem, both in closed form and by an independent linear-algebra
   recursion;
-* a shifted diagnostic Z_p(gamma) whose renormalized limit reproduces the
+* a shifted diagnostic Z_p(gamma), the same J-trace with G = 1/(lambda +
+  gamma) and its l = 0 rows, whose renormalized limit reproduces the
   exact sum rules as gamma -> 0+.
 
 The uniform-density values ("zeta functions" of the round sphere) come
@@ -110,14 +111,14 @@ class SumRuleResult:
 # uniform traces
 
 
-def _spectral_trace(d, p, gamma=0.0, switch=DEFAULT_ELL_CUT):
-    """sum_{l>=1} g_l / (lambda_l + gamma)^p with Euler-Maclaurin tail."""
+def _spectral_trace(d, p, gamma=0.0, switch=DEFAULT_ELL_CUT, first=1):
+    """sum_{l>=first} g_l / (lambda_l + gamma)^p with Euler-Maclaurin tail."""
     _check_convergent(d, p, "uniform trace")
 
     def f(l):
         return harmonics._degeneracy_at(d, l) / (l * (l + d - 1) + gamma) ** p
 
-    return tails.accelerated_sum(f, 1, switch=switch)
+    return tails.accelerated_sum(f, first, switch=switch)
 
 
 def zeta_uniform(d, p):
@@ -207,12 +208,6 @@ def _coupled_triples(density):
     return out
 
 
-def _cubic_powers(exps, gamma):
-    """Denominator powers of the three insertions: 1/lambda^(e+1) unshifted,
-    1/(lambda + gamma) shifted."""
-    return [e + 1 for e in exps] if gamma is None else [1, 1, 1]
-
-
 # The dihedral moves of the cycle V_L1 -w0- V_L2 -w1- V_L3 -w2- (back to
 # V_L1), each as (degree order, weight order) of the moved triple: the two
 # turns, then the reversals fixing L1, L2 and L3.
@@ -251,9 +246,9 @@ _CUBIC_CHUNK_ROWS = 32
 def _cubic_core(density, exps, gamma, cuts):
     """Triple trace over sigma insertions, truncated at each degree in cuts.
 
-    gamma=None gives the unshifted trace over l >= 1 with weights
-    1/lambda^(e+1); a positive gamma includes the l = 0 row with weights
-    1/(lambda + gamma).  Each m2 block contributes g_{d-1}(m2) times
+    The weights are 1/(lambda + gamma)^(e+1) for exps (e0, e1, e2):
+    gamma=None gives the unshifted trace over l >= 1, a positive gamma
+    includes the l = 0 row.  Each m2 block contributes g_{d-1}(m2) times
 
         sum over coupled (L1, L2, L3) of  tr(D0 V_L2 D1 V_L3 D2 V_L1),
 
@@ -284,7 +279,7 @@ def _cubic_core(density, exps, gamma, cuts):
     zc = density.zonal_coeffs()
     floor = 1 if gamma is None else 0
     shift = 0.0 if gamma is None else gamma
-    powers = _cubic_powers(exps, gamma)
+    powers = [e + 1 for e in exps]
     closers = {}
     for (L1, L2, L3), size in _cubic_classes(density, powers).items():
         closers.setdefault((L2, L3), []).append((L1, size))
@@ -403,9 +398,9 @@ def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
     """Cubic trace with a shell-difference truncation estimate.
 
     The trace is also taken at an inner cut 16 degrees down.  Its summand
-    falls like l^-(2 sum(powers)) while the m2-summed grid grows like
-    l^(d-1), so the tail beyond lcut falls like lcut^-s with
-    s = 2 sum(powers) - d, and the tail is the shell difference scaled by
+    falls like l^-(2 sum(e + 1)) over the exps e while the m2-summed grid
+    grows like l^(d-1), so the tail beyond lcut falls like lcut^-s with
+    s = 2 sum(e + 1) - d, and the tail is the shell difference scaled by
     lcut / (s * shell width).
     """
     if not _coupled_triples(density):
@@ -416,7 +411,7 @@ def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
             "(non-zonal support would need the full coupling tensor)")
     inner = max(density.ell_max + 1, lcut - 16)
     value, inner_value = _cubic_core(density, exps, gamma, (lcut, inner))
-    s = 2 * sum(_cubic_powers(exps, gamma)) - density.d
+    s = 2 * (sum(exps) + 3) - density.d
     err = (abs(value - inner_value) * lcut / (s * max(1, lcut - inner))
            + 1e-15 * abs(value))
     return float(value), float(err)
@@ -500,37 +495,49 @@ def _I(orders, block):
 # J-type traces
 
 
-def _J1(q, p, density, switch):
-    d = density.d
-    s = p + q + 2
-    _check_convergent(d, s, "trace J1(%d,%d)" % (q, p))
-    value, err = _spectral_trace(d, s, 0.0, switch)
-    for L, rho in sorted(density.rho_by_degree().items()):
-        bval, berr = _band_sum(d, L, q + 1, p + 1, 0.0, switch)
-        value += rho * bval
-        err += rho * berr
-    return value, err
+def _J(orders, density, switch, gamma=None):
+    """tr(G^(q1+1) B ... G^(qk+1) B) over l >= 1 for orders (q1, .., qk),
+    k = 2 (J1) or 3 (J2), with G = 1/lambda and B = 1 + sigma.
 
+    Expanded in sigma: the uniform trace of power s = sum(q + 1), one band
+    sum for each pair of sigma insertions and, with three, the cubic trace.
+    A pair splits the cycle into two arcs of G powers: (q1+1, q2+1) with two
+    insertions, and with three (q+1, s-q-1) for each q, the arc between the
+    other two.  Each distinct (L, a, b) is summed once.
 
-def _J2(q, p, r, density, switch):
+    With gamma, G = 1/(lambda + gamma) on every mode and the trace runs
+    over l >= 0 less the uniform zero mode gamma^-s, so it is Z(gamma) -
+    gamma^-s: l = 0 couples only to l' = L, with S_L(0, L) = 1/Vol, which
+    adds the rows (gamma^-a (lambda_L+gamma)^-b + (lambda_L+gamma)^-a
+    gamma^-b) / Vol to each band sum.  Returns (value, trunc_error).
+    """
     d = density.d
-    s = p + q + r + 3
-    _check_convergent(d, s, "trace J2(%d,%d,%d)" % (q, p, r))
-    _check_cubic_budget(density, switch)
-    value, err = _spectral_trace(d, s, 0.0, switch)
-    # the three insertions share their band sums when orders coincide
-    # (all three at J2(0, 0, 0)); each distinct one is taken once
+    s = sum(orders) + len(orders)
+    _check_convergent(d, s, "trace J%d(%s)" % (
+        len(orders) - 1, ",".join(map(str, orders))))
+    if len(orders) == 3:
+        _check_cubic_budget(density, switch)
+    shift = 0.0 if gamma is None else gamma
+    vol = harmonics.sphere_volume(d)
+    value, err = _spectral_trace(d, s, shift, switch)
+    arcs = orders if len(orders) == 3 else orders[:1]
     bands = {}
     for L, rho in sorted(density.rho_by_degree().items()):
-        for aa, bb in ((q + 1, p + r + 2), (p + 1, q + r + 2),
-                       (r + 1, p + q + 2)):
-            if (L, aa, bb) not in bands:
-                bands[L, aa, bb] = _band_sum(d, L, aa, bb, 0.0, switch)
-            bval, berr = bands[L, aa, bb]
+        for a, b in ((q + 1, s - q - 1) for q in arcs):
+            if (L, a, b) not in bands:
+                bval, berr = _band_sum(d, L, a, b, shift, switch)
+                if gamma is not None:
+                    lam = harmonics.eigenvalue(d, L) + gamma
+                    bval += (gamma ** -a * lam ** -b
+                             + lam ** -a * gamma ** -b) / vol
+                bands[L, a, b] = bval, berr
+            bval, berr = bands[L, a, b]
             value += rho * bval
             err += rho * berr
-    cval, cerr = _cubic_trace(density, (q, p, r), gamma=None, lcut=switch)
-    return value + cval, err + cerr
+    if len(orders) == 3:
+        cval, cerr = _cubic_trace(density, orders, gamma, switch)
+        value, err = value + cval, err + cerr
+    return value, err
 
 
 def density_integrals(kind, orders, density, ell_cut=None):
@@ -563,10 +570,7 @@ def density_integrals(kind, orders, density, ell_cut=None):
         block = _zero_mode_block(
             density, max(1, len(orders) - 1) * density.ell_max)
         return {"value": _I(orders, block), "trunc_error": 0.0}
-    if kind == "J1":
-        value, err = _J1(*orders, density, switch)
-    else:
-        value, err = _J2(*orders, density, switch)
+    value, err = _J(orders, density, switch)
     return {"value": value, "trunc_error": err}
 
 
@@ -668,11 +672,10 @@ def sum_rule(d, p, density, ell_cut=None):
     block = _zero_mode_block(density, (p - 1) * density.ell_max)
     i10 = _I((0,), block)
     i200 = _I((0, 0), block)
+    jval, jerr = _J((0,) * p, density, switch)
     if p == 2:
-        jval, jerr = _J1(0, 0, density, switch)
         value = jval + (i10 / vol) ** 2 - 2.0 * i200 / vol
     else:
-        jval, jerr = _J2(0, 0, 0, density, switch)
         i3000 = _I((0, 0, 0), block)
         value = (jval - (i10 / vol) ** 3 + 3.0 * i10 * i200 / vol ** 2
                  - 3.0 * i3000 / vol)
@@ -711,8 +714,9 @@ def closed_form_reference(d, p, kappa):
 
 def _renorm_lead(p, eps, gamma):
     """gamma^-p - 1/E0(gamma)^p for E0 = gamma (1 + x), regrouped so that
-    the leading 1/gamma^p pieces cancel analytically rather than in
-    floating point."""
+    the leading 1/gamma^p pieces cancel analytically.  The 1/gamma^(p-1)
+    pieces left still cancel against the trace's zero-mode rows in floating
+    point, which limits how small gamma may be."""
     x = eps[1] * gamma + eps[2] * gamma ** 2 + eps[3] * gamma ** 3
     if p == 2:
         return (2.0 * x + x * x) / (gamma ** 2 * (1.0 + x) ** 2)
@@ -723,19 +727,17 @@ def _renorm_lead(p, eps, gamma):
 def sum_rule_shifted(d, p, density, gamma, ell_cut=None):
     """Z_p(gamma) and its renormalization against the zero-mode energy.
 
-    Z is the coefficient-space trace with shifted denominators (the zero
-    mode contributing 1/gamma); Z_renorm subtracts 1/E0(gamma)^p with the
-    quartic Taylor polynomial E0.  The subtraction is evaluated in a
-    regrouped form so the leading 1/gamma^p pieces cancel analytically
-    rather than in floating point.
+    Z is the J-trace of `sum_rule` with shifted denominators 1/(lambda +
+    gamma), its l = 0 rows included (the zero mode contributing 1/gamma);
+    Z_renorm subtracts 1/E0(gamma)^p with the quartic Taylor polynomial E0.
+    The subtraction is regrouped so that the leading 1/gamma^p pieces cancel
+    analytically; the 1/gamma^(p-1) pieces still cancel in floating point,
+    so at p = 3 Z_renorm loses its accuracy below gamma of about 1e-7.
     """
     d, p = _check_sum_rule_orders(d, p)
     check_density(density, d)
     gamma = check_gamma(gamma)
     switch = _switch(density, _check_ell_cut(ell_cut))
-    if p == 3:
-        _check_cubic_budget(density, switch)
-    vol = harmonics.sphere_volume(d)
     eps = epsilon_closed(density).eps
     try:
         lead = _renorm_lead(p, eps, gamma)
@@ -743,19 +745,5 @@ def sum_rule_shifted(d, p, density, gamma, ell_cut=None):
         raise ValidationError(
             "shift gamma=%r is out of range: the zero-mode energy's Taylor "
             "polynomial overflows" % (gamma,)) from None
-    trace, _ = _spectral_trace(d, p, gamma, switch)
-    finite = trace
-    if p == 2:
-        for L, rho in sorted(density.rho_by_degree().items()):
-            dl = 1.0 / (harmonics.eigenvalue(d, L) + gamma)
-            finite += rho * (2.0 / (gamma * vol) * dl
-                             + _band_sum(d, L, 1, 1, gamma, switch)[0])
-    else:
-        for L, rho in sorted(density.rho_by_degree().items()):
-            dl = 1.0 / (harmonics.eigenvalue(d, L) + gamma)
-            finite += 3.0 * rho * ((dl / gamma ** 2 + dl * dl / gamma) / vol
-                                   + _band_sum(d, L, 2, 1, gamma, switch)[0])
-        if _coupled_triples(density):
-            finite += _cubic_trace(density, (0, 0, 0), gamma=gamma,
-                                   lcut=switch)[0]
+    finite, _ = _J((0,) * p, density, switch, gamma)
     return {"Z": gamma ** -p + finite, "Z_renorm": lead + finite}

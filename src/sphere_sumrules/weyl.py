@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import harmonics, rayleigh_ritz, tails
+from . import harmonics, rayleigh_ritz
 from .density import DensitySpec, check_kappa
 from .errors import (DivergentSumError, NonConvergenceError, ValidationError,
                      check_integer, check_real)
 from .quadrature import quadrature
-from .sumrules import SumRuleResult, _check_sum_rule_orders, p_min, zeta_uniform
+from .sumrules import (SumRuleResult, _check_sum_rule_orders, _spectral_trace,
+                       p_min, zeta_uniform)
 
 def hurwitz_zeta(s, a):
     """Hurwitz zeta sum_{n>=0} (n+a)^(-s) for s > 1, a > 0."""
@@ -212,12 +213,8 @@ def delta(d, ell_max, s):
             "both tails diverge for d=%d, s=%r: need s >= %d"
             % (d, s, p_min(d)))
     ell_max = check_integer(ell_max, "ell_max", least=1, most=None)
-
-    def term(l):
-        return harmonics._degeneracy_at(d, l) / (l * (l + d - 1.0)) ** s
-
-    exact_tail, _ = tails.accelerated_sum(term, ell_max + 1,
-                                          switch=ell_max + 201)
+    exact_tail, _ = _spectral_trace(d, s, 0.0, ell_max + 201,
+                                    first=ell_max + 1)
     rank = rayleigh_ritz.basis_size(d, ell_max)
     weyl_tail = uniform_prefactor(d) ** (-float(s)) * hurwitz_zeta(
         2.0 * s / d, float(rank))

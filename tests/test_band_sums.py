@@ -6,14 +6,16 @@ C_n^a(1)) are checked against `reference`, which takes them from the Gamma
 function in mpmath at 40 digits, to 4e-15 relative.
 
 Oracle for the aggregation: the Euler-Maclaurin tails, the band sum, the
-uniform trace and the J2 trace as they were first written, on the package's
-own pair strengths and degeneracy: one pair-strength call per offset for its
-direct degrees and two more for its tail (the integral's nodes, then the
-stencil), and the three band sums of J2 taken one by one.  The engine now
+uniform trace and the J1 and J2 traces as they were first written, on the
+package's own pair strengths and degeneracy: one pair-strength call per
+offset for its direct degrees and two more for its tail (the integral's
+nodes, then the stencil), and the three band sums of J2 taken one by one;
+with a shift gamma, each band sum gains its l = 0 rows.  The engine now
 takes every offset of a band sum in one pair-strength call, evaluates each
-tail's summand once and takes each distinct J2 band sum once, but it forms
+tail's summand once and takes each distinct band sum once, but it forms
 every sum in the same order, so each value must equal the oracle's exactly
-(==): J1 and J2, and both sum rules on random zonal densities.
+(==): J1 and J2, and both sum rules and their shifted route on random
+zonal densities.
 """
 
 from contextlib import contextmanager
@@ -29,7 +31,8 @@ from sphere_sumrules import harmonics, sumrules, tails
 from sphere_sumrules.density import DensitySpec
 from sphere_sumrules.errors import DivergentSumError
 from sphere_sumrules.harmonics import (_degeneracy_at, _pair_strength_raw,
-                                       gegenbauer_at_one, pair_strength)
+                                       gegenbauer_at_one, pair_strength,
+                                       sphere_volume)
 from sphere_sumrules.sumrules import (_cubic_trace, density_integrals,
                                       p_min, sum_rule, sum_rule_shifted)
 
@@ -112,17 +115,31 @@ def _oracle_band_sum(d, L, a, b, gamma=0.0, switch=200):
     return total, err
 
 
-def _oracle_J2(q, p, r, density, switch):
+def _oracle_J(orders, density, switch, gamma=None):
     d = density.d
-    value, err = _oracle_spectral_trace(d, p + q + r + 3, 0.0, switch)
+    shift = 0.0 if gamma is None else gamma
+    if len(orders) == 2:
+        q, p = orders
+        pairs = ((q + 1, p + 1),)
+    else:
+        q, p, r = orders
+        pairs = ((q + 1, p + r + 2), (p + 1, q + r + 2), (r + 1, p + q + 2))
+    value, err = _oracle_spectral_trace(d, sum(orders) + len(orders), shift,
+                                        switch)
     for L, rho in sorted(density.rho_by_degree().items()):
-        for aa, bb in ((q + 1, p + r + 2), (p + 1, q + r + 2),
-                       (r + 1, p + q + 2)):
-            bval, berr = _oracle_band_sum(d, L, aa, bb, 0.0, switch)
+        for aa, bb in pairs:
+            bval, berr = _oracle_band_sum(d, L, aa, bb, shift, switch)
+            if gamma is not None:
+                # the l = 0 rows: l = 0 couples only to l' = L, at 1/Vol
+                lam = harmonics.eigenvalue(d, L) + gamma
+                bval += (gamma ** -aa * lam ** -bb
+                         + lam ** -aa * gamma ** -bb) / sphere_volume(d)
             value += rho * bval
             err += rho * berr
-    cval, cerr = _cubic_trace(density, (q, p, r), gamma=None, lcut=switch)
-    return value + cval, err + cerr
+    if len(orders) == 3:
+        cval, cerr = _cubic_trace(density, orders, gamma, switch)
+        value, err = value + cval, err + cerr
+    return value, err
 
 
 @contextmanager
@@ -130,7 +147,7 @@ def _oracle_engine():
     """The package's engine with the oracle's band-sum path swapped in."""
     with mock.patch.multiple(sumrules, _band_sum=_oracle_band_sum,
                              _spectral_trace=_oracle_spectral_trace,
-                             _J2=_oracle_J2):
+                             _J=_oracle_J):
         yield
 
 
@@ -232,6 +249,17 @@ def test_reference_pair_strengths_sum_to_degeneracy(d):
     assert mp.dps == dps
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_zero_row_pair_strength_is_inverse_volume(d):
+    # l = 0 couples only to l' = L, at S_L(0, L) = 1/Vol: the shifted
+    # J-trace adds its l = 0 rows with that weight
+    for L in range(9):
+        with mp.workdps(reference.DIGITS):
+            want = 1 / reference.volume(d)
+        assert reference.relative_error(pair_strength(d, L, 0, L),
+                                        want) <= RTOL, (d, L)
+
+
 # ----------------------------------------------------------------------
 # band sums, J-traces and the sum rules
 
@@ -285,6 +313,12 @@ def test_j2_takes_each_band_sum_once():
                                wraps=sumrules._band_sum) as spy:
             density_integrals("J2", orders, den)
         assert spy.call_count == 3 * per_degree
+    # the shifted route is the same trace: one band sum per degree
+    for p in (2, 3):
+        with mock.patch.object(sumrules, "_band_sum",
+                               wraps=sumrules._band_sum) as spy:
+            sum_rule_shifted(3, p, den, 1e-3)
+        assert spy.call_count == 3
 
 
 @settings(max_examples=10)

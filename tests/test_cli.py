@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -459,10 +460,14 @@ def test_validate_out_file_holds_the_stdout_text(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    # the child finds the package where this process imported it from, as
+    # pytest's own pythonpath setting does not reach a child's environment
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sphere_sumrules.cli", "validate",
          "--module", "density"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "0 failed" in proc.stdout
 

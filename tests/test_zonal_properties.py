@@ -81,7 +81,7 @@ def _naive_cubic_trace(den, exps, gamma, lcut):
     zc = den.zonal_coeffs()
     floor = 1 if gamma is None else 0
     shift = 0.0 if gamma is None else gamma
-    powers = [e + 1 for e in exps] if gamma is None else [1, 1, 1]
+    powers = [e + 1 for e in exps]
     total = 0.0
     for m2 in range(lcut + 1):
         lo = max(floor, m2)
@@ -175,7 +175,7 @@ def test_cubic_classes_of_three_degrees(powers, want):
 @pytest.mark.parametrize("exps, gamma", [
     ((0, 0, 0), None), ((0, 0, 1), None), ((0, 1, 0), None),
     ((1, 0, 0), None), ((0, 1, 2), None),
-    # shifted, every weight is 1/(lambda + gamma) whatever the exponents
+    # shifted, each weight is 1/(lambda + gamma)^(e+1)
     ((0, 0, 0), 1e-3), ((0, 1, 2), 0.5),
 ])
 def test_cubic_core_matches_naive_trace_per_weight_pattern(d, exps, gamma):
