@@ -243,8 +243,37 @@ def _cubic_classes(density, powers):
 _CUBIC_CHUNK_ROWS = 32
 
 
-def _cubic_core(density, exps, gamma, cuts):
-    """Triple trace over sigma insertions, truncated at each degree in cuts.
+def _cubic_plan(density, powers):
+    """The chains of the cubic trace for weight powers, one per group of
+    degree pairs (L2, L3) whose representatives share their closing degrees
+    and class sizes: a list of (closing, steps), closing the [(L1, size)]
+    of the group and steps its multiply-adds (L2, d1, L3, d2, (e, hi)).
+
+    A step takes offset d1 of V_L2 and d2 of V_L3 into the part of the band
+    product at offset e = d1 + d2 whose cycles l -> l + d1 -> l + e -> l
+    reach their largest degree at l + hi, hi = max(0, d1, e).  Offsets |e|
+    past every closing degree are left out: no band closes them.
+    """
+    closers = {}
+    for (L1, L2, L3), size in _cubic_classes(density, powers).items():
+        closers.setdefault((L2, L3), []).append((L1, size))
+    groups = {}
+    for pair, closing in closers.items():
+        groups.setdefault(tuple(closing), []).append(pair)
+    plan = []
+    for closing, pairs in groups.items():
+        top = max(L1 for L1, _ in closing)
+        plan.append((closing, [
+            (L2, d1, L3, d2, (d1 + d2, max(0, d1, d1 + d2)))
+            for L2, L3 in pairs
+            for d1 in range(-L2, L2 + 1, 2) for d2 in range(-L3, L3 + 1, 2)
+            if abs(d1 + d2) <= top]))
+    return plan
+
+
+def _cubic_core(density, exps, gamma, lcut, inner):
+    """Triple trace over sigma insertions truncated at degree lcut, and the
+    trace's top shell above inner, both from one pass.
 
     The weights are 1/(lambda + gamma)^(e+1) for exps (e0, e1, e2):
     gamma=None gives the unshifted trace over l >= 1, a positive gamma
@@ -264,48 +293,53 @@ def _cubic_core(density, exps, gamma, cuts):
     falls off the block.  The weights are folded into the bands once per
     chunk of rows, A_L[o] = D0 V_L D1 for each degree that opens a
     representative's chain (L2) and C_L[o] = V_L D2 for each that continues
-    one (L3).  Each pair (L2, L3) is traced as a chain: its band product
-    M = D0 V_L2 D1 V_L3 D2 takes one multiply-add per offset pair (d1, d2),
-    into offset e = d1 + d2, and is contracted, one dot product per cut,
-    with the band of each degree L1 that closes a representative with it;
-    the dot product counts once per member of that representative's class.
-    Pairs with the same closing degrees and class sizes share one product.
-    No other L1 enters: a triple the triangle rule forbids vanishes only by
-    cancellation across blocks.  Every cut shares one set of bands: a
-    smaller cut only zeroes the weights of degrees above it.  Returns the
-    traces as an array, one per cut.
+    one (L3).  Each pair (L2, L3) is traced as a chain (`_cubic_plan`): its
+    band product M = D0 V_L2 D1 V_L3 D2 takes one multiply-add per offset
+    pair (d1, d2), into the part of M at offset e = d1 + d2 whose cycles
+    l -> l + d1 -> l + e -> l reach their largest degree at l + hi.  Pairs
+    with the same closing degrees and class sizes share one product.  Each
+    part is contracted with the band of each degree L1 that closes a
+    representative with it, once over the grid for the trace and once over
+    the trailing columns where l + hi > inner for the top shell, so the
+    shell costs no second pass; the dot products count once per member of
+    that representative's class.  No other L1 enters: a triple the triangle
+    rule forbids vanishes only by cancellation across blocks.
+
+    Returns (trace, top_shell), top_shell the sum of the cycles whose
+    largest degree lies in (inner, lcut].
     """
     d = density.d
     zc = density.zonal_coeffs()
     floor = 1 if gamma is None else 0
     shift = 0.0 if gamma is None else gamma
     powers = [e + 1 for e in exps]
-    closers = {}
-    for (L1, L2, L3), size in _cubic_classes(density, powers).items():
-        closers.setdefault((L2, L3), []).append((L1, size))
-    groups = {}
-    for pair, closing in closers.items():
-        groups.setdefault(tuple(closing), []).append(pair)
-    openers = {L2 for L2, _ in closers}
-    continuers = {L3 for _, L3 in closers}
-    cuts = np.asarray(cuts).reshape(-1, 1, 1)
-    lcut = int(cuts.max())
+    plan = _cubic_plan(density, powers)
+    openers = {step[0] for _, steps in plan for step in steps}
+    continuers = {step[2] for _, steps in plan for step in steps}
     # the weights carry `pad` zero columns on either side, so a view
     # shifted by any band offset stays inside the array
     pad = density.ell_max
-    total = np.zeros(cuts.shape[0])
+    trace = shell = 0.0
     for first in range(0, lcut + 1, _CUBIC_CHUNK_ROWS):
         m2 = np.arange(first, min(first + _CUBIC_CHUNK_ROWS, lcut + 1))
         width = lcut - first + 1
         n = np.arange(-pad, width + pad)
         ls = m2[:, None] + n
-        lam = np.where((n >= 0) & (ls >= floor) & (ls <= cuts),
+        lam = np.where((n >= 0) & (ls >= floor) & (ls <= lcut),
                        ls * (ls + d - 1.0) + shift, np.inf)
-        gm = np.array([float(harmonics.degeneracy(d - 1, m)) for m in m2])
+        # g_{d-1}(m2): for d >= 3 the polynomial, exact at every m2 the
+        # byte budget admits (its products stay below 2^53); g_1 is 1, 2, 2
+        gm = (harmonics._degeneracy_at(d - 1, m2) if d > 2
+              else np.where(m2 > 0, 2.0, 1.0))
         # each distinct power once: sum_rule and sum_rule_shifted use 1, 1, 1
         wts = {pw: lam ** -pw for pw in set(powers)}
         wts = [wts[pw] for pw in powers]
         wts[0] = wts[0] * gm[:, None]
+        # the top shell lies past column `tail` (hi <= pad); past[hi] marks
+        # its columns n there, l + hi > inner
+        tail = min(max(0, inner + 1 - pad - int(m2[-1])), width)
+        past = {hi: ls[:, pad + tail:pad + width] + hi > inner
+                for hi in range(pad + 1)}
 
         def at(o):
             """Grid columns n = 0..width-1 of a padded array, moved by o."""
@@ -329,64 +363,63 @@ def _cubic_core(density, exps, gamma, cuts):
                 if L in continuers:
                     C[L, o] = np.zeros_like(wts[2])
                     C[L, o][..., at(0)] = v * wts[2][..., at(o)]
-        for closing, closed in groups.items():
-            top = max(L1 for L1, _ in closing)
+        for closing, steps in plan:
             chain = {}
-            for L2, L3 in closed:
-                for d1 in range(-L2, L2 + 1, 2):
-                    for d2 in range(-L3, L3 + 1, 2):
-                        e = d1 + d2
-                        if abs(e) > top:
-                            continue
-                        term = A[L2, d1] * C[L3, d2][..., at(d1)]
-                        if e in chain:
-                            chain[e] += term
-                        else:
-                            chain[e] = term
-            for e, m in chain.items():
-                m = m.reshape(len(total), -1)
+            for L2, d1, L3, d2, part in steps:
+                term = A[L2, d1] * C[L3, d2][..., at(d1)]
+                if part in chain:
+                    chain[part] += term
+                else:
+                    chain[part] = term
+            for (e, hi), m in chain.items():
+                cut = m[:, tail:] * past[hi]
                 for L1, size in closing:
                     if abs(e) <= L1:
-                        total += size * (m @ V[L1, e].reshape(-1))
+                        v = V[L1, e]
+                        trace += size * np.vdot(m, v)
+                        shell += size * np.vdot(cut, v[:, tail:])
             # kept, the chain and its temporaries would overlap the next
             # group's or chunk's arrays; the bands go when the next chunk
             # rebinds V, A and C (freed at the chunk's end, they let the
             # heap shrink, and faulting it back cost 15% at ell_cut = 200)
-            del term, chain, m
-    return total
+            del term, chain, m, cut
+    return float(trace), float(shell)
 
 
 def _cubic_bytes(density, lcut):
-    """Bytes `_cubic_core` holds at once for the density's trace at lcut
-    and its inner cut, with any exponents.
+    """Bytes `_cubic_core` holds at once for the density's trace at lcut,
+    with any exponents.
 
     Counted in arrays of `_CUBIC_CHUNK_ROWS` rows by the padded grid's
-    lcut + 1 + 2 top columns, k = 2 cuts, for the class table of distinct
-    powers, the largest: there every coupled triple is its own class, so
-    each degree T of a coupled triple opens a chain and continues one, and
-    equal powers open and continue no more.  The arrays are the degrees l,
-    and lam and three weights per cut; per degree L its L // 2 + 1
-    diagonals of L's parity and (L + 1) // 2 negative-offset bands, L + 1
-    in all; per degree T its T + 1 A and T + 1 C bands per cut; the chain
-    of the group closed by the largest T, T + 1 bands per cut, and the 2k
-    temporaries of a chain step, its product and the one before; and the
-    parity-split recurrence's three steps and one temporary, of at most
-    top // 2 + 1 rows each, beside the diagonals it has already read off.
+    lcut + 1 + 2 top columns.  The arrays are the degrees l, lam and three
+    weights; per degree L its L // 2 + 1 diagonals of L's parity and
+    (L + 1) // 2 negative-offset bands, L + 1 in all; per degree T of a
+    coupled triple its T + 1 A and T + 1 C bands, as with distinct powers,
+    where every coupled triple is its own class and so each such T opens a
+    chain and continues one; the parts (e, hi) of a chain, at most one per
+    hi from max(0, e) to the top coupled degree T for each offset
+    |e| <= T of T's parity, and the two temporaries of a chain step, its
+    product and the one before; the top shell's product and the copy its
+    dot product takes; and the parity-split recurrence's three steps and
+    one temporary, of at most top // 2 + 1 rows each, beside the diagonals
+    it has already read off.  The top shell's top + 1 masks add one byte
+    each per grid entry.
     """
-    k = 2
     degrees = density.rho_by_degree()
     top = max(degrees)
     coupled = {L for triple in _coupled_triples(density) for L in triple}
-    arrays = (1 + 4 * k + k * (max(coupled) + 1) + 4 * (top // 2 + 1)
-              + 2 * k + sum(L + 1 for L in degrees)
-              + 2 * k * sum(L + 1 for L in coupled))
+    T = max(coupled)
+    parts = sum(T - max(0, e) + 1 for e in range(-T, T + 1, 2))
+    arrays = (1 + 4 + parts + 2 + 2 + 4 * (top // 2 + 1)
+              + sum(L + 1 for L in degrees)
+              + 2 * sum(L + 1 for L in coupled))
     rows = min(_CUBIC_CHUNK_ROWS, lcut + 1)
-    return 8 * rows * (lcut + 1 + 2 * top) * arrays
+    return rows * (lcut + 1 + 2 * top) * (8 * arrays + top + 1)
 
 
 def _check_cubic_budget(density, lcut):
     """Reject, before any sum runs, a cut whose cubic trace would need more
-    than MAX_BYTES (_CUBIC_MAX_BYTES here): about ell_cut = 56000 for
+    than MAX_BYTES (_CUBIC_MAX_BYTES here): about ell_cut = 74000 for
     degrees {1, 2, 3}."""
     if not _coupled_triples(density):
         return
@@ -395,12 +428,13 @@ def _check_cubic_budget(density, lcut):
 
 
 def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
-    """Cubic trace with a shell-difference truncation estimate.
+    """Cubic trace with a top-shell truncation estimate.
 
-    The trace is also taken at an inner cut 16 degrees down.  Its summand
-    falls like l^-(2 sum(e + 1)) over the exps e while the m2-summed grid
-    grows like l^(d-1), so the tail beyond lcut falls like lcut^-s with
-    s = 2 sum(e + 1) - d, and the tail is the shell difference scaled by
+    The pass that takes the trace also sums its top shell, the cycles whose
+    largest degree lies within 16 degrees below lcut.  The summand falls
+    like l^-(2 sum(e + 1)) over the exps e while the m2-summed grid grows
+    like l^(d-1), so the tail beyond lcut falls like lcut^-s with
+    s = 2 sum(e + 1) - d, and the tail is the top shell scaled by
     lcut / (s * shell width).
     """
     if not _coupled_triples(density):
@@ -410,11 +444,11 @@ def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
             "the cubic trace term is implemented for zonal densities only "
             "(non-zonal support would need the full coupling tensor)")
     inner = max(density.ell_max + 1, lcut - 16)
-    value, inner_value = _cubic_core(density, exps, gamma, (lcut, inner))
+    value, top_shell = _cubic_core(density, exps, gamma, lcut, inner)
     s = 2 * (sum(exps) + 3) - density.d
-    err = (abs(value - inner_value) * lcut / (s * max(1, lcut - inner))
+    err = (abs(top_shell) * lcut / (s * max(1, lcut - inner))
            + 1e-15 * abs(value))
-    return float(value), float(err)
+    return value, err
 
 
 # ----------------------------------------------------------------------

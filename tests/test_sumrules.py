@@ -8,7 +8,9 @@ sextic closed forms for (d, p) in {(3,2), (3,3), (4,3), (5,3)}.
 
 import bisect
 import contextlib
+import inspect
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -498,7 +500,7 @@ def _sums_forbidden():
 
 
 def test_cubic_trace_past_its_budget_is_rejected_before_any_sum():
-    # at ell_cut = 10**6 this trace would need some 17 GB; the check only
+    # at ell_cut = 10**6 this trace would need some 10 GB; the check only
     # counts bytes, and no degree sum or trace may run before it
     den = DensitySpec.zonal(3, {1: 0.1, 2: 0.05})
     with _sums_forbidden():
@@ -540,20 +542,50 @@ def test_cubic_bytes_bound_the_traced_peak(coeffs):
     assert peak <= bound <= 2.0 * peak
 
 
-def test_cubic_chunks_release_their_chains():
-    # at ell = 1000 (two cuts) the first chunk's last chain step holds 34.2
-    # arrays of one chunk's padded grid; a chain kept past its group, still
-    # held while the next chunk builds its three distinct weights, lifts
-    # the peak to 35.7
-    den = DensitySpec.zonal(3, {2: 0.1})
-    unit = 8 * sumrules._CUBIC_CHUNK_ROWS * (1001 + 2 * 2)
+def test_cubic_chains_do_not_outlive_their_group():
+    # traced memory as each group's chain starts, and once the chunk's last
+    # group is contracted, against that as the chunk's first chain starts:
+    # a chain or a temporary kept past its contraction is still held when
+    # the next chain starts, by at least one array of the chunk's grid
+    den = DensitySpec.zonal(3, {1: 0.1, 2: 0.05, 3: 0.02})
+    code = sumrules._cubic_core.__code__
+    lines, start = inspect.getsourcelines(sumrules._cubic_core)
+    # the line of each loop head: True for the chunk loop's, False for the
+    # group loop's
+    heads = {start + i: "for first" in line for i, line in enumerate(lines)
+             if line.lstrip().startswith(("for first in", "for closing,"))}
+    assert sorted(heads.values()) == [False, True]
+    chunks = []
+
+    def trace_core(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def on_line(frame, event, arg):
+            if event == "line" and frame.f_lineno in heads:
+                if heads[frame.f_lineno]:
+                    chunks.append([])
+                else:
+                    chunks[-1].append(tracemalloc.get_traced_memory()[0])
+            return on_line
+        return on_line
+
+    outer = sys.gettrace()
     tracemalloc.start()
+    sys.settrace(trace_core)
     try:
-        _cubic_core(den, (1, 2, 3), None, (984, 1000))
-        peak = tracemalloc.get_traced_memory()[1]
+        _cubic_core(den, (0, 0, 0), None, 300, 284)
     finally:
+        sys.settrace(outer)
         tracemalloc.stop()
-    assert 34 * unit <= peak <= 35 * unit
+    # 4 groups: each of the 10 chunks reads 5 times, at each chain's start
+    # and after the last (the chunk loop's head is met once more at its end)
+    assert chunks.pop() == [] and len(chunks) == 10
+    rows = sumrules._CUBIC_CHUNK_ROWS
+    for k, readings in enumerate(chunks):
+        assert len(readings) == 5
+        grid = 8 * min(rows, 301 - rows * k) * (301 - rows * k)
+        assert max(readings) - readings[0] < grid / 2
 
 
 def test_integral_float_cutoff_is_the_integer_cutoff():

@@ -144,12 +144,12 @@ DENSITIES = [{1: 0.1, 2: 0.05, 3: 0.03}, {1: 0.1, 4: 0.03},
                                          ((1, 0, 1), None),
                                          ((0, 0, 0), 1e-3)])
 def test_cubic_core_equals_its_run_on_oracle_bands(d, coeffs, exps, gamma):
-    # two chunks of m2 rows and two cuts
+    # two chunks of m2 rows; the trace at 40 and its top shell above 24
     den = DensitySpec.zonal(d, coeffs)
-    got = _cubic_core(den, exps, gamma, (40, 24))
+    got = _cubic_core(den, exps, gamma, 40, 24)
     with mock.patch.object(harmonics, "_zonal_bands", _oracle_bands):
-        want = _cubic_core(den, exps, gamma, (40, 24))
-    assert np.array_equal(got, want)
+        want = _cubic_core(den, exps, gamma, 40, 24)
+    assert got == want
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

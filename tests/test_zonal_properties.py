@@ -107,7 +107,7 @@ def test_cubic_core_matches_naive_trace(den, lcut, exps, gamma, chunk):
     want = _naive_cubic_trace(den, exps, gamma, lcut)
     # small chunks put chunk boundaries inside the grid
     with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
-        got, = _cubic_core(den, exps, gamma, (lcut,))
+        got, _ = _cubic_core(den, exps, gamma, lcut, lcut - 1)
     # abs=0: approx's default absolute tolerance of 1e-12 would swamp the
     # relative one on every trace below 1
     assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -129,7 +129,7 @@ def test_cubic_core_keeps_to_coupled_triples(d, coeffs, exps, gamma, chunk):
     assert (1, 1, 4) not in _coupled_triples(den)
     want = _naive_cubic_trace(den, exps, gamma, 30)
     with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
-        got, = _cubic_core(den, exps, gamma, (30,))
+        got, _ = _cubic_core(den, exps, gamma, 30, 29)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -186,8 +186,29 @@ def test_cubic_core_matches_naive_trace_per_weight_pattern(d, exps, gamma):
     den = DensitySpec.zonal(d, {1: 0.04, 2: -0.03, 3: 0.02})
     want = _naive_cubic_trace(den, exps, gamma, 22)
     with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", 5):
-        got, = _cubic_core(den, exps, gamma, (22,))
+        got, _ = _cubic_core(den, exps, gamma, 22, 21)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("exps", [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
+                                  (0, 1, 2)])
+@pytest.mark.parametrize("gamma", [None, 2.0])
+@pytest.mark.parametrize("chunk", [3, 5])
+def test_cubic_top_shell_matches_naive_shell_difference(d, exps, gamma,
+                                                        chunk):
+    # the top shell is the trace's cycles whose largest degree lies in
+    # (inner, lcut], the naive trace at lcut less the naive trace at inner.
+    # At these cuts the shell is 1.7e-5 to 0.25 of the trace, so the
+    # difference keeps most of its digits; what rounding it carries is of
+    # the order of the trace's last bits, hence the absolute term.  A
+    # gamma of 2 keeps the l = 0 row from swamping the shell.
+    den = DensitySpec.zonal(d, {1: 0.04, 2: -0.03, 3: 0.02})
+    full = _naive_cubic_trace(den, exps, gamma, 12)
+    want = full - _naive_cubic_trace(den, exps, gamma, 5)
+    with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
+        _, got = _cubic_core(den, exps, gamma, 12, 5)
+    assert abs(got - want) <= 1e-12 * abs(want) + 1e-14 * abs(full)
 
 
 @given(den=zonal_densities())
