@@ -27,7 +27,7 @@ import numpy as np
 from . import greens, rayleigh_ritz, sumrules, validate, weyl
 from .density import DensitySpec
 from .errors import (DivergentSumError, NonConvergenceError,
-                     SphereSumRulesError, ValidationError)
+                     SphereSumRulesError, ValidationError, integral)
 from .harmonics import HarmonicIndex
 
 
@@ -51,6 +51,8 @@ def parse_range(text, integer=False):
         numbers = [float(p) for p in parts]
     except ValueError:
         raise ValidationError("bad numeric range %r" % (text,))
+    if not all(math.isfinite(v) for v in numbers):
+        raise ValidationError("range %r must hold finite numbers" % (text,))
     if len(numbers) == 1:
         values = numbers
     else:
@@ -61,37 +63,41 @@ def parse_range(text, integer=False):
                                   % (text,))
         if stop < start:
             raise ValidationError("empty range %r" % (text,))
-        values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-9 * step:
-                break
-            values.append(v)
-            k += 1
+        # the values start + k step <= stop + 1e-9 step; one k spare (rounding)
+        count = (stop - start) / step + 1e-9
+        if count >= 10 ** 6:
+            raise ValidationError("range %r exceeds 10^6 values" % (text,))
+        values = [v for v in (start + k * step for k in range(int(count) + 2))
+                  if v <= stop + 1e-9 * step]
     if integer:
-        out = []
-        for v in values:
-            if abs(v - round(v)) > 1e-9:
-                raise ValidationError("range %r must contain integers"
-                                      % (text,))
-            out.append(int(round(v)))
-        return out
+        if any(abs(v - round(v)) > 1e-9 for v in values):
+            raise ValidationError("range %r must contain integers" % (text,))
+        return [int(round(v)) for v in values]
     return values
 
 
 def load_density(d, path):
     """Coefficient file: JSON list of {ell, m: [..], re, im} entries."""
-    with open(path) as handle:
-        data = json.load(handle)
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ValidationError("cannot read coefficient file %s: %s"
+                              % (path, exc))
     if not isinstance(data, list):
         raise ValidationError("coefficient file must hold a JSON list")
     entries = []
     for item in data:
-        idx = HarmonicIndex(d, int(item["ell"]),
-                            tuple(int(v) for v in item["m"]))
-        entries.append((idx, complex(float(item.get("re", 0.0)),
-                                     float(item.get("im", 0.0)))))
+        try:
+            index = [integral(v) for v in [item["ell"], *item["m"]]]
+            value = complex(float(item.get("re", 0.0)),
+                            float(item.get("im", 0.0)))
+        except (KeyError, TypeError, ValueError):
+            index = [None]
+        if None in index:
+            raise ValidationError("coefficient entry %r is not {ell, m: [..], "
+                                  "re, im} with integer ell and m" % (item,))
+        entries.append((HarmonicIndex(d, index[0], index[1:]), value))
     return DensitySpec.from_coeffs(d, entries)
 
 
@@ -106,8 +112,11 @@ def _fmt(value):
 def _emit(args, text):
     """Write text to the --out file if one is given, else to stdout."""
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError("cannot write --out file: %s" % exc)
     else:
         sys.stdout.write(text)
 

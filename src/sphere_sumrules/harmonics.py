@@ -430,8 +430,7 @@ def coupling_W(i1, i2, i3):
 @lru_cache(maxsize=None)
 def _log_zonal_norm(d, L):
     """log of [Vol(S^{d-1}) h(L, (d-1)/2)]^(-1/2), the zonal normalization."""
-    vol_sub = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    return -0.5 * (math.log(vol_sub) + _log_h(L, (d - 1) / 2.0))
+    return -0.5 * (math.log(sphere_volume(d - 1)) + _log_h(L, (d - 1) / 2.0))
 
 
 def _jacobi_step(c, b, k, cols):

@@ -288,22 +288,24 @@ def _cubic_core(density, exps, gamma, lcut, inner):
     equal weights, as in `sum_rule` and `sum_rule_shifted`, every ordering
     of a triple is one class; with distinct weights each triple is its own.
 
-    The blocks are stacked as rows of an (m2, n) grid, l = m2 + n, and each
-    band is a grid array per offset o, V_L(l, l + o), zero where l + o
-    falls off the block.  The weights are folded into the bands once per
-    chunk of rows, A_L[o] = D0 V_L D1 for each degree that opens a
-    representative's chain (L2) and C_L[o] = V_L D2 for each that continues
-    one (L3).  Each pair (L2, L3) is traced as a chain (`_cubic_plan`): its
-    band product M = D0 V_L2 D1 V_L3 D2 takes one multiply-add per offset
-    pair (d1, d2), into the part of M at offset e = d1 + d2 whose cycles
+    The blocks are the rows of an (m2, n) grid, l = m2 + n, laid end to
+    end in flat arrays, each row ell_max columns past lcut, where the
+    weights vanish.  Each degree's diagonals are held once, zero-padded,
+    and the band V_L(l, l + o) of any offset is a view of them, moved by o
+    if o < 0.  Only the right-hand weight is folded into a band,
+    U[w, L, o] = V_L(l, l + o) lambda(l + o)^-w, per distinct power w of
+    D1 and D2.  Each pair (L2, L3) is traced as a chain (`_cubic_plan`):
+    its band product M = D0 V_L2 D1 V_L3 D2 takes one multiply-add
+    U[w1, L2, d1] U[w2, L3, d2], the second moved by d1, per offset pair,
+    into the part of M at offset e = d1 + d2 whose cycles
     l -> l + d1 -> l + e -> l reach their largest degree at l + hi.  Pairs
     with the same closing degrees and class sizes share one product.  Each
-    part is contracted with the band of each degree L1 that closes a
-    representative with it, once over the grid for the trace and once over
-    the trailing columns where l + hi > inner for the top shell, so the
-    shell costs no second pass; the dot products count once per member of
-    that representative's class.  No other L1 enters: a triple the triangle
-    rule forbids vanishes only by cancellation across blocks.
+    part, scaled once by D0 g_{d-1}(m2), is contracted with the band of
+    each L1 that closes a representative with it, over the grid for the
+    trace and over the trailing columns where l + hi > inner for the top
+    shell, so the shell costs no second pass; the dot products count once
+    per member of that representative's class.  No other L1 enters: a
+    forbidden triple vanishes only by cancellation across blocks.
 
     Returns (trace, top_shell), top_shell the sum of the cycles whose
     largest degree lies in (inner, lcut].
@@ -313,75 +315,69 @@ def _cubic_core(density, exps, gamma, lcut, inner):
     floor = 1 if gamma is None else 0
     shift = 0.0 if gamma is None else gamma
     powers = [e + 1 for e in exps]
+    w1, w2 = powers[1:]
     plan = _cubic_plan(density, powers)
-    openers = {step[0] for _, steps in plan for step in steps}
-    continuers = {step[2] for _, steps in plan for step in steps}
-    # the weights carry `pad` zero columns on either side, so a view
-    # shifted by any band offset stays inside the array
+    used = {band for _, steps in plan for L2, d1, L3, d2, _ in steps
+            for band in ((w1, L2, d1), (w2, L3, d2))}
     pad = density.ell_max
     trace = shell = 0.0
     for first in range(0, lcut + 1, _CUBIC_CHUNK_ROWS):
         m2 = np.arange(first, min(first + _CUBIC_CHUNK_ROWS, lcut + 1))
         width = lcut - first + 1
-        n = np.arange(-pad, width + pad)
-        ls = m2[:, None] + n
-        lam = np.where((n >= 0) & (ls >= floor) & (ls <= lcut),
-                       ls * (ls + d - 1.0) + shift, np.inf)
+        stride = width + pad
+        size = len(m2) * stride
+
+        def at(a, o, margin=0):
+            """a's grid entries moved by o, margin more either side."""
+            start = (a.shape[-1] - size) // 2 + o - margin
+            return a[..., start:start + size + 2 * margin]
+
+        # 2 pad entries more at either end, for a band's margin and move
+        ls = m2[:, None] + np.arange(stride)
+        lam = np.pad(np.where((ls >= floor) & (ls <= lcut),
+                              ls * (ls + d - 1.0) + shift, np.inf).ravel(),
+                     2 * pad, constant_values=np.inf)
         # g_{d-1}(m2): for d >= 3 the polynomial, exact at every m2 the
         # byte budget admits (its products stay below 2^53); g_1 is 1, 2, 2
         gm = (harmonics._degeneracy_at(d - 1, m2) if d > 2
               else np.where(m2 > 0, 2.0, 1.0))
         # each distinct power once: sum_rule and sum_rule_shifted use 1, 1, 1
         wts = {pw: lam ** -pw for pw in set(powers)}
-        wts = [wts[pw] for pw in powers]
-        wts[0] = wts[0] * gm[:, None]
-        # the top shell lies past column `tail` (hi <= pad); past[hi] marks
-        # its columns n there, l + hi > inner
+        opening = at(wts[powers[0]], 0) * np.repeat(gm, stride)
+        # the top shell lies past grid column `tail` (hi <= pad); past[hi]
+        # marks its columns n there, l + hi > inner
         tail = min(max(0, inner + 1 - pad - int(m2[-1])), width)
-        past = {hi: ls[:, pad + tail:pad + width] + hi > inner
-                for hi in range(pad + 1)}
+        past = {hi: ls[:, tail:width] + hi > inner for hi in range(pad + 1)}
 
-        def at(o):
-            """Grid columns n = 0..width-1 of a padded array, moved by o."""
-            return slice(pad + o, pad + o + width)
-
-        V, A, C = {}, {}, {}
-        bands = harmonics._zonal_bands(d, zc, m2, width)
+        # the previous chunk's bands go first (freed at the chunk's end,
+        # they let the heap shrink, and faulting it back cost 15% at
+        # ell_cut = 200); diagonal i of degree L is offset L % 2 + 2 i
+        V, U = {}, {}
+        bands = harmonics._zonal_bands(d, zc, m2, stride)
         for L, c in zc.items():
-            # row i of a degree's bands is offset L % 2 + 2 i, i.e. |o| // 2
-            diag = bands.pop(L)
-            diag *= c
+            diags = np.pad(bands.pop(L).reshape(L // 2 + 1, -1) * c,
+                           ((0, 0), (2 * pad, 2 * pad)))
             for o in range(-L, L + 1, 2):
-                if o >= 0:
-                    v = diag[o // 2]
-                else:
-                    v = np.zeros_like(diag[0])
-                    v[:, -o:] = diag[-o // 2, :, :max(0, width + o)]
-                V[L, o] = v
-                if L in openers:
-                    A[L, o] = wts[0][..., at(0)] * v * wts[1][..., at(o)]
-                if L in continuers:
-                    C[L, o] = np.zeros_like(wts[2])
-                    C[L, o][..., at(0)] = v * wts[2][..., at(o)]
+                V[L, o] = at(diags[abs(o) // 2], min(o, 0), pad)
+        for w, L, o in used:
+            U[w, L, o] = V[L, o] * at(wts[w], o, pad)
         for closing, steps in plan:
             chain = {}
             for L2, d1, L3, d2, part in steps:
-                term = A[L2, d1] * C[L3, d2][..., at(d1)]
+                term = at(U[w1, L2, d1], 0) * at(U[w2, L3, d2], d1)
                 if part in chain:
                     chain[part] += term
                 else:
                     chain[part] = term
             for (e, hi), m in chain.items():
-                cut = m[:, tail:] * past[hi]
-                for L1, size in closing:
+                m *= opening
+                cut = m.reshape(-1, stride)[:, tail:width] * past[hi]
+                for L1, count in closing:
                     if abs(e) <= L1:
-                        v = V[L1, e]
-                        trace += size * np.vdot(m, v)
-                        shell += size * np.vdot(cut, v[:, tail:])
-            # kept, the chain and its temporaries would overlap the next
-            # group's or chunk's arrays; the bands go when the next chunk
-            # rebinds V, A and C (freed at the chunk's end, they let the
-            # heap shrink, and faulting it back cost 15% at ell_cut = 200)
+                        v = at(V[L1, e], 0).reshape(-1, stride)
+                        trace += count * np.vdot(m, v)
+                        shell += count * np.vdot(cut, v[:, tail:width])
+            # kept, they would overlap the next group's or chunk's arrays
             del term, chain, m, cut
     return float(trace), float(shell)
 
@@ -390,36 +386,30 @@ def _cubic_bytes(density, lcut):
     """Bytes `_cubic_core` holds at once for the density's trace at lcut,
     with any exponents.
 
-    Counted in arrays of `_CUBIC_CHUNK_ROWS` rows by the padded grid's
-    lcut + 1 + 2 top columns.  The arrays are the degrees l, lam and three
-    weights; per degree L its L // 2 + 1 diagonals of L's parity and
-    (L + 1) // 2 negative-offset bands, L + 1 in all; per degree T of a
-    coupled triple its T + 1 A and T + 1 C bands, as with distinct powers,
-    where every coupled triple is its own class and so each such T opens a
-    chain and continues one; the parts (e, hi) of a chain, at most one per
-    hi from max(0, e) to the top coupled degree T for each offset
-    |e| <= T of T's parity, and the two temporaries of a chain step, its
-    product and the one before; the top shell's product and the copy its
-    dot product takes; and the parity-split recurrence's three steps and
-    one temporary, of at most top // 2 + 1 rows each, beside the diagonals
-    it has already read off.  The top shell's top + 1 masks add one byte
-    each per grid entry.
+    Counted in flat arrays of the first chunk, `_CUBIC_CHUNK_ROWS` rows of
+    lcut + 1 + top columns and 4 top entries more: l, lam, three weights
+    and D0 g_{d-1}; each degree L's L // 2 + 1 diagonals; the T + 1
+    weighted bands of each degree T of a coupled triple per power, as if
+    D1 and D2 differed; a chain's parts, one per hi from max(0, e) to top
+    for each offset |e| <= top of top's parity (top is coupled, in
+    (L, top, top) for any even L); a chain step's product and the one
+    before; the top shell's product and its dot product's copy; and a byte
+    per grid entry for each of the shell's top + 1 masks.  The recurrence
+    is held only before any weighted band, and takes less.
     """
     degrees = density.rho_by_degree()
     top = max(degrees)
     coupled = {L for triple in _coupled_triples(density) for L in triple}
-    T = max(coupled)
-    parts = sum(T - max(0, e) + 1 for e in range(-T, T + 1, 2))
-    arrays = (1 + 4 + parts + 2 + 2 + 4 * (top // 2 + 1)
-              + sum(L + 1 for L in degrees)
+    parts = sum(top - max(0, e) + 1 for e in range(-top, top + 1, 2))
+    arrays = (6 + sum(L // 2 + 1 for L in degrees) + parts + 4
               + 2 * sum(L + 1 for L in coupled))
     rows = min(_CUBIC_CHUNK_ROWS, lcut + 1)
-    return rows * (lcut + 1 + 2 * top) * (8 * arrays + top + 1)
+    return (rows * (lcut + 1 + top) + 4 * top) * (8 * arrays + top + 1)
 
 
 def _check_cubic_budget(density, lcut):
     """Reject, before any sum runs, a cut whose cubic trace would need more
-    than MAX_BYTES (_CUBIC_MAX_BYTES here): about ell_cut = 74000 for
+    than MAX_BYTES (_CUBIC_MAX_BYTES here): about ell_cut = 92000 for
     degrees {1, 2, 3}."""
     if not _coupled_triples(density):
         return

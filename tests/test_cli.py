@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sphere_sumrules import cli, sumrules
-from sphere_sumrules.errors import NonConvergenceError
+from sphere_sumrules.errors import NonConvergenceError, ValidationError
 from sphere_sumrules.sumrules import (MAX_ELL_CUT, closed_form_reference,
                                       zeta_uniform)
 
@@ -53,6 +53,28 @@ def test_parse_range_rejects_garbage(capsys):
     code, _, err = run_cli(capsys, ["exact", "--d", "3", "--p", "2",
                                     "--kappa", "0:2:"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--d", "3", "--p", "2", "--kappa", "nan:1"],
+    ["exact", "--d", "3", "--p", "2", "--kappa", "0:inf:1"],
+    ["green", "--d", "3", "--p", "1", "--theta", "0.5:nan"],
+    ["delta", "--d", "3", "--s", "4", "--lmax", "1:inf"],
+    ["exact", "--d", "3", "--p", "2", "--kappa", "0:1:1e-12"],
+])
+def test_endless_or_huge_range_exits_one(capsys, argv):
+    # NaN never compares above the stop and an infinite stop is never
+    # passed, so the first four swept without end; the last would build
+    # 10^12 floats before the first row
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: range")
+
+
+def test_range_holds_at_most_a_million_values():
+    assert len(cli.parse_range("1:1000000", integer=True)) == 10 ** 6
+    with pytest.raises(ValidationError, match=r"exceeds 10\^6"):
+        cli.parse_range("0:1000000")
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +197,53 @@ def test_exact_with_coeffs_file(tmp_path, capsys):
     value = float(out.strip().splitlines()[1].split(",")[1])
     # rho_1 = 1, so the rotation-invariant p=2 rule equals the kappa=1 tilt
     assert value == pytest.approx(closed_form_reference(3, 2, 1.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("content", [
+    '[{"ell": 1, "re": 0.1}]',
+    '[{"m": [1, 0], "re": 0.1}]',
+    '[5]',
+    '[{"ell": 1, "m": [1, 0]',
+    '[{"ell": 1, "m": [1, 0], "re": "x"}]',
+    # int() read these as degree 1 and m2 = 1
+    '[{"ell": 1.5, "m": [1, 0], "re": 0.1}]',
+    '[{"ell": 1, "m": [1.5, 0], "re": 0.1}]',
+], ids=["no-m", "no-ell", "not-an-object", "not-json", "re-not-a-number",
+        "fractional-ell", "fractional-m"])
+def test_bad_coefficient_file_exits_one(tmp_path, capsys, content):
+    path = tmp_path / "den.json"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, ["exact", "--d", "3", "--p", "2",
+                                      "--coeffs", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "coefficient" in err
+
+
+def test_missing_coefficient_file_exits_one(tmp_path, capsys):
+    code, out, err = run_cli(capsys, ["exact", "--d", "3", "--p", "2",
+                                      "--coeffs", str(tmp_path / "no.json")])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read coefficient file")
+
+
+def test_integral_float_degree_reads_as_the_integer(tmp_path, capsys):
+    rows = []
+    for ell in ("1", "1.0"):
+        path = tmp_path / "den.json"
+        path.write_text('[{"ell": %s, "m": [0, 0], "re": 0.3}]' % ell)
+        code, out, _ = run_cli(capsys, ["exact", "--d", "3", "--p", "2",
+                                        "--coeffs", str(path)])
+        assert code == 0
+        rows.append(out)
+    assert rows[0] == rows[1]
+
+
+def test_unwritable_out_file_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "rows.csv"
+    code, out, err = run_cli(capsys, ["exact", "--d", "3", "--p", "2",
+                                      "--kappa", "1", "--out", str(target)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write --out file")
 
 
 # ----------------------------------------------------------------------

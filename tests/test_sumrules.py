@@ -500,7 +500,7 @@ def _sums_forbidden():
 
 
 def test_cubic_trace_past_its_budget_is_rejected_before_any_sum():
-    # at ell_cut = 10**6 this trace would need some 10 GB; the check only
+    # at ell_cut = 10**6 this trace would need some 8 GB; the check only
     # counts bytes, and no degree sum or trace may run before it
     den = DensitySpec.zonal(3, {1: 0.1, 2: 0.05})
     with _sums_forbidden():
@@ -540,6 +540,25 @@ def test_cubic_bytes_bound_the_traced_peak(coeffs):
         tracemalloc.stop()
     bound = _cubic_bytes(den, 300)
     assert peak <= bound <= 2.0 * peak
+
+
+@pytest.mark.parametrize("coeffs", [{2: 0.1}, {1: 0.1, 4: 0.05},
+                                    {1: 0.1, 2: 0.05, 3: 0.02, 4: 0.01}])
+@pytest.mark.parametrize("exps, gamma", [
+    ((0, 0, 0), None), ((0, 0, 1), None), ((0, 1, 0), None),
+    ((1, 0, 0), None), ((0, 1, 2), None), ((0, 0, 0), 0.1)])
+def test_cubic_bytes_bound_the_traced_peak_of_every_weight_pattern(
+        coeffs, exps, gamma):
+    # the working set depends on the weight powers (distinct powers weight
+    # a band once for each), and the count bounds it whatever they are
+    den = DensitySpec.zonal(3, coeffs)
+    tracemalloc.start()
+    try:
+        _cubic_trace(den, exps, gamma, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _cubic_bytes(den, 300)
 
 
 def test_cubic_chains_do_not_outlive_their_group():

@@ -10,7 +10,8 @@ variational spectrum against the full-matrix one, the single zero mode of
 that spectrum, and the exact sum rules against the linear extrapolation of
 the gamma-shifted route to gamma = 0.  Fixed densities also pin the
 symmetry classes of coupled triples under each pattern of weight powers,
-and the cubic trace against the naive loop for each pattern.
+and the cubic trace against the naive loop for each pattern and for
+degrees up to 11, whose band offsets outreach the last chunks' grids.
 """
 
 import math
@@ -187,6 +188,24 @@ def test_cubic_core_matches_naive_trace_per_weight_pattern(d, exps, gamma):
     want = _naive_cubic_trace(den, exps, gamma, 22)
     with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", 5):
         got, _ = _cubic_core(den, exps, gamma, 22, 21)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("lcut", [12, 15])
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+@pytest.mark.parametrize("exps, gamma", [((0, 0, 0), None), ((0, 1, 2), None),
+                                         ((0, 0, 0), 0.3)])
+def test_cubic_core_matches_naive_trace_past_a_wide_pad(d, lcut, chunk, exps,
+                                                        gamma):
+    # degrees up to 11 move a band by up to 11 columns, more than the
+    # last chunks' grids are wide, so a moved band reaches past its row's
+    # block on either side.  abs=0: approx's default absolute tolerance
+    # of 1e-12 would swamp the relative one.
+    den = DensitySpec.zonal(d, {2: 0.05, 9: 0.02, 11: 0.01})
+    want = _naive_cubic_trace(den, exps, gamma, lcut)
+    with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
+        got, _ = _cubic_core(den, exps, gamma, lcut, lcut - 1)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
