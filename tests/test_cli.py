@@ -461,6 +461,8 @@ DATA = pathlib.Path(__file__).parent / "data"
     ("exact --d 3 --p 2 --coeffs zonal_d3.json", "exact_d3_p2_zonal.csv"),
     ("exact --d 3 --p 2 --coeffs nonzonal_d3.json",
      "exact_d3_p2_nonzonal.csv"),
+    # degrees 1, 2 and 3: the only golden file with a cubic trace
+    ("exact --d 3 --p 3 --coeffs zonal_d3.json", "exact_d3_p3_zonal.csv"),
     ("hybrid --d 3 --p 3 --kappa 0:2:0.5 --lmax 30", "hybrid_d3_p3_kappa.csv"),
     ("hybrid --d 5 --p 3 --kappa 0:1.5:0.25 --lmax 12",
      "hybrid_d5_p3_kappa.csv"),

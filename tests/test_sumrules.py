@@ -234,6 +234,54 @@ def test_cubic_sum_rule_past_gauss_jacobi_failure(cubic_sum_rules):
     assert res5.ell_cut == 740
 
 
+# _cubic_core's (trace, top shell) at cut 200 and inner 184, as float.hex:
+# seven chunks of 32 rows, a density whose top degree 5 runs each row five
+# columns past the cut, both weight patterns and both floors.  Values of a
+# change that only reorganises the pass must not move by a bit.
+CUBIC_CORE_PINS = [
+    ('three', 2, (0, 0, 0), None, '0x1.2367d6ff64495p-13', '0x1.15463915568c8p-42'),
+    ('three', 2, (0, 0, 0), 0.001, '0x1.1ff0a43a8c1ffp-1', '0x1.15463797c5730p-42'),
+    ('three', 2, (1, 2, 0), None, '0x1.6c662f00c73cfp-18', '0x1.918a82ba83358p-88'),
+    ('three', 2, (1, 2, 0), 0.001, '0x1.27a806e995045p+16', '0x1.918a7e61c1524p-88'),
+    ('three', 3, (0, 0, 0), None, '0x1.ae0f3e6d1436ep-15', '0x1.e8a6091743fe0p-37'),
+    ('three', 3, (0, 0, 0), 0.001, '0x1.3d91f8a9f5041p-3', '0x1.e8a6067b8aa3dp-37'),
+    ('three', 3, (1, 2, 0), None, '0x1.f754e3881346bp-22', '0x1.5a6b7eb98da72p-82'),
+    ('three', 3, (1, 2, 0), 0.001, '0x1.adf7a85fff78bp+13', '0x1.5a6b7b004b241p-82'),
+    ('three', 4, (0, 0, 0), None, '0x1.e666a2901483fp-16', '0x1.5bce89fef4abap-31'),
+    ('three', 4, (0, 0, 0), 0.001, '0x1.06759848d8865p-4', '0x1.5bce8826da57fp-31'),
+    ('three', 4, (1, 2, 0), None, '0x1.661a2938c27e3p-24', '0x1.e35a3e63e4761p-77'),
+    ('three', 4, (1, 2, 0), 0.001, '0x1.08dfe385205d6p+12', '0x1.e35a393ab2120p-77'),
+    ('three', 5, (0, 0, 0), None, '0x1.b02a81a17d78fp-16', '0x1.b46c5ef40a01dp-26'),
+    ('three', 5, (0, 0, 0), 0.001, '0x1.1de8f4bea0c13p-5', '0x1.b46c5ca77e3afp-26'),
+    ('three', 5, (1, 2, 0), None, '0x1.95d4bb272f0cep-26', '0x1.296281aca04bdp-71'),
+    ('three', 5, (1, 2, 0), 0.001, '0x1.cbbb7d12817a3p+10', '0x1.29627e850903ap-71'),
+    ('wide', 2, (0, 0, 0), None, '0x1.5fe0b5affb888p-21', '0x1.517b88bd4af50p-50'),
+    ('wide', 2, (0, 0, 0), 0.001, '0x1.984d629175978p-12', '0x1.517b86ea1de96p-50'),
+    ('wide', 2, (1, 2, 0), None, '0x1.509cbaefcdb9ep-25', '0x1.f18d415003285p-96'),
+    ('wide', 2, (1, 2, 0), 0.001, '0x1.3113cc39369edp+4', '0x1.f18d3be4b6362p-96'),
+    ('wide', 3, (0, 0, 0), None, '0x1.03a0863affdfep-22', '0x1.7111b13a6f5d4p-44'),
+    ('wide', 3, (0, 0, 0), 0.001, '0x1.516e8ae0997f1p-13', '0x1.7111af3fb2a00p-44'),
+    ('wide', 3, (1, 2, 0), None, '0x1.acb7bbb405fc9p-29', '0x1.0976cb38a7431p-89'),
+    ('wide', 3, (1, 2, 0), 0.001, '0x1.7614b8de6d1bcp+2', '0x1.0976c85a81bccp-89'),
+    ('wide', 4, (0, 0, 0), None, '0x1.38be08aa20b0fp-23', '0x1.2c37f698f38b7p-38'),
+    ('wide', 4, (0, 0, 0), 0.001, '0x1.5f50fa07fb9f4p-14', '0x1.2c37f4ffbc9d8p-38'),
+    ('wide', 4, (1, 2, 0), None, '0x1.1b59bd7ce8f15p-31', '0x1.a68c219c2b8ccp-84'),
+    ('wide', 4, (1, 2, 0), 0.001, '0x1.343c8262931ffp+1', '0x1.a68c1d141971dp-84'),
+    ('wide', 5, (0, 0, 0), None, '0x1.3e05c588a768ep-23', '0x1.9f0e1733db12fp-33'),
+    ('wide', 5, (0, 0, 0), 0.001, '0x1.bf865e4d496eep-15', '0x1.9f0e1501fd905p-33'),
+    ('wide', 5, (1, 2, 0), None, '0x1.2f58074242993p-33', '0x1.1e1e0b61b6144p-78'),
+    ('wide', 5, (1, 2, 0), 0.001, '0x1.43e830632acb4p+0', '0x1.1e1e085598d89p-78'),
+]
+
+
+@pytest.mark.parametrize("name, d, exps, gamma, trace, shell", CUBIC_CORE_PINS)
+def test_cubic_core_is_pinned_to_the_bit(name, d, exps, gamma, trace, shell):
+    coeffs = {"three": CUBIC_COEFFS,
+              "wide": {2: 0.05, 4: 0.03, 5: 0.02}}[name]
+    got = _cubic_core(DensitySpec.zonal(d, coeffs), exps, gamma, 200, 184)
+    assert tuple(v.hex() for v in got) == (trace, shell)
+
+
 # ----------------------------------------------------------------------
 # perturbation coefficients: closed forms vs the recursion
 
