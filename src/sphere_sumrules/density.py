@@ -142,7 +142,7 @@ class DensitySpec:
             coeffs = {L + 1: c for L, c in enumerate(coeffs)}
         entries = tuple(
             (harmonics.HarmonicIndex(
-                d, check_integer(L, "zonal degree", least=1, most=None),
+                d, check_integer(L, "zonal degree", least=1),
                 (0,) * (d - 1)), c)
             for L, c in coeffs.items())
         return cls(d=d, entries=entries)

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError, check_integer
+from .errors import MAX_ELL_CUT, ValidationError, check_integer, integral
 from .quadrature import quadrature
 
 __all__ = [
@@ -177,9 +177,11 @@ class HarmonicIndex:
     def __post_init__(self):
         if self.d < 2:
             raise ValidationError("harmonic index needs d >= 2, got %r" % (self.d,))
-        if self.ell < 0:
-            raise ValidationError("degree must be >= 0, got %r" % (self.ell,))
-        m = tuple(int(v) for v in self.m)
+        if type(self.ell) is not int or not 0 <= self.ell <= MAX_ELL_CUT:
+            object.__setattr__(self, "ell", check_integer(self.ell, "degree"))
+        m = tuple(v if type(v) is int else integral(v) for v in self.m)
+        if None in m:
+            raise ValidationError("m entries must be integers: %r" % (self.m,))
         object.__setattr__(self, "m", m)
         if len(m) != self.d - 1:
             raise ValidationError(
@@ -491,12 +493,14 @@ def _zonal_bands(d, degrees, m2, size):
     rows = size + top
     n = np.arange(1, rows, dtype=float)
     b = np.zeros((lam.shape[0], rows))
-    b[:, 1:] = np.sqrt(n * (n + 2.0 * lam - 1.0)
-                       / (4.0 * (n + lam) * (n + lam - 1.0)))
+    nl = n + lam
+    b[:, 1:] = np.sqrt(n * (n + 2.0 * lam - 1.0) / (4.0 * nl * (nl - 1.0)))
     c_prev, c = None, np.ones((1, lam.shape[0], rows))
     bands = {}
     for k in range(top + 1):
-        if k:
+        if k == 1:  # C_1 = 2 alpha J: offset 1 alone, the off-diagonals b
+            c, c_prev = (2.0 * alpha) * b[None, :, 1:], c
+        elif k:
             cols = rows - k
             step = _jacobi_step(c, b, k, cols)
             step *= 2.0 * (k + alpha - 1.0)

@@ -290,14 +290,14 @@ def _cubic_core(density, exps, gamma, lcut, inner):
 
     The blocks are the rows of an (m2, n) grid, l = m2 + n, laid end to
     end in flat arrays, each row ell_max columns past lcut, where the
-    weights vanish.  Each degree's diagonals are held once, zero-padded,
-    and the band V_L(l, l + o) of any offset is a view of them, moved by o
-    if o < 0.  Only the right-hand weight is folded into a band,
-    U[w, L, o] = V_L(l, l + o) lambda(l + o)^-w, per distinct power w of
-    D1 and D2.  Each pair (L2, L3) is traced as a chain (`_cubic_plan`):
-    its band product M = D0 V_L2 D1 V_L3 D2 takes one multiply-add
-    U[w1, L2, d1] U[w2, L3, d2], the second moved by d1, per offset pair,
-    into the part of M at offset e = d1 + d2 whose cycles
+    weights vanish.  Each degree's diagonals are written once, c_L times
+    zonal bands, into zeros, and the band V_L(l, l + o) of any offset is
+    a view of them, moved by o if o < 0.  Only the right-hand weight is
+    folded into a band, U[w, L, o] = V_L(l, l + o) lambda(l + o)^-w, per
+    distinct power w of D1 and D2.  Each pair (L2, L3) is traced as a
+    chain (`_cubic_plan`): its band product M = D0 V_L2 D1 V_L3 D2 takes
+    one multiply-add U[w1, L2, d1] U[w2, L3, d2], the second moved by d1,
+    per offset pair, into the part of M at offset e = d1 + d2 whose cycles
     l -> l + d1 -> l + e -> l reach their largest degree at l + hi.  Pairs
     with the same closing degrees and class sizes share one product.  Each
     part, scaled once by D0 g_{d-1}(m2), is contracted with the band of
@@ -305,7 +305,8 @@ def _cubic_core(density, exps, gamma, lcut, inner):
     trace and over the trailing columns where l + hi > inner for the top
     shell, so the shell costs no second pass; the dot products count once
     per member of that representative's class.  No other L1 enters: a
-    forbidden triple vanishes only by cancellation across blocks.
+    forbidden triple vanishes only by cancellation across blocks.  A chunk
+    takes each view and shell mask the plan reads once.
 
     Returns (trace, top_shell), top_shell the sum of the cycles whose
     largest degree lies in (inner, lcut].
@@ -317,8 +318,14 @@ def _cubic_core(density, exps, gamma, lcut, inner):
     powers = [e + 1 for e in exps]
     w1, w2 = powers[1:]
     plan = _cubic_plan(density, powers)
-    used = {band for _, steps in plan for L2, d1, L3, d2, _ in steps
-            for band in ((w1, L2, d1), (w2, L3, d2))}
+    steps = [step for _, group in plan for step in group]
+    # a step reads U[w1, L2, d1] and U[w2, L3, d2] moved by d1
+    lefts = {(w1, L2, d1) for L2, d1, *_ in steps}
+    rights = {((w2, L3, d2), d1) for _, d1, L3, d2, _ in steps}
+    used = lefts | {band for band, _ in rights}
+    his = {hi for *_, (_, hi) in steps}
+    closes = {(L1, e) for group, chain in plan for L1, _ in group
+              for *_, (e, _) in chain if abs(e) <= L1}
     pad = density.ell_max
     trace = shell = 0.0
     for first in range(0, lcut + 1, _CUBIC_CHUNK_ROWS):
@@ -326,28 +333,25 @@ def _cubic_core(density, exps, gamma, lcut, inner):
         width = lcut - first + 1
         stride = width + pad
         size = len(m2) * stride
-
-        def at(a, o, margin=0):
-            """a's grid entries moved by o, margin more either side."""
-            start = (a.shape[-1] - size) // 2 + o - margin
-            return a[..., start:start + size + 2 * margin]
-
         # 2 pad entries more at either end, for a band's margin and move
-        ls = m2[:, None] + np.arange(stride)
-        lam = np.pad(np.where((ls >= floor) & (ls <= lcut),
-                              ls * (ls + d - 1.0) + shift, np.inf).ravel(),
-                     2 * pad, constant_values=np.inf)
+        grid = slice(2 * pad, 2 * pad + size)
+        ls = m2[:, None] + np.arange(stride, dtype=float)
+        lam = np.full(size + 4 * pad, np.inf)
+        np.multiply(ls, ls + (d - 1.0), out=lam[grid].reshape(-1, stride),
+                    where=(ls >= floor) & (ls <= lcut))
+        lam += shift
         # g_{d-1}(m2): for d >= 3 the polynomial, exact at every m2 the
         # byte budget admits (its products stay below 2^53); g_1 is 1, 2, 2
         gm = (harmonics._degeneracy_at(d - 1, m2) if d > 2
               else np.where(m2 > 0, 2.0, 1.0))
         # each distinct power once: sum_rule and sum_rule_shifted use 1, 1, 1
         wts = {pw: lam ** -pw for pw in set(powers)}
-        opening = at(wts[powers[0]], 0) * np.repeat(gm, stride)
+        opening = wts[powers[0]][grid] * np.repeat(gm, stride)
         # the top shell lies past grid column `tail` (hi <= pad); past[hi]
         # marks its columns n there, l + hi > inner
         tail = min(max(0, inner + 1 - pad - int(m2[-1])), width)
-        past = {hi: ls[:, tail:width] + hi > inner for hi in range(pad + 1)}
+        past = {hi: ls[:, tail:width] > inner - hi for hi in his}
+        del ls, lam  # the bands and chains below read neither
 
         # the previous chunk's bands go first (freed at the chunk's end,
         # they let the heap shrink, and faulting it back cost 15% at
@@ -355,16 +359,20 @@ def _cubic_core(density, exps, gamma, lcut, inner):
         V, U = {}, {}
         bands = harmonics._zonal_bands(d, zc, m2, stride)
         for L, c in zc.items():
-            diags = np.pad(bands.pop(L).reshape(L // 2 + 1, -1) * c,
-                           ((0, 0), (2 * pad, 2 * pad)))
+            diags = np.zeros((L // 2 + 1, size + 4 * pad))
+            np.multiply(bands.pop(L), c, out=diags[:, grid].reshape(
+                L // 2 + 1, len(m2), stride))
             for o in range(-L, L + 1, 2):
-                V[L, o] = at(diags[abs(o) // 2], min(o, 0), pad)
+                V[L, o] = diags[abs(o) // 2, pad + min(o, 0):][:size + 2 * pad]
         for w, L, o in used:
-            U[w, L, o] = V[L, o] * at(wts[w], o, pad)
-        for closing, steps in plan:
+            U[w, L, o] = V[L, o] * wts[w][pad + o:][:size + 2 * pad]
+        left = {k: U[k][pad:pad + size] for k in lefts}
+        right = {(b, s): U[b][pad + s:pad + s + size] for b, s in rights}
+        close = {k: V[k][pad:pad + size].reshape(-1, stride) for k in closes}
+        for closing, group in plan:
             chain = {}
-            for L2, d1, L3, d2, part in steps:
-                term = at(U[w1, L2, d1], 0) * at(U[w2, L3, d2], d1)
+            for L2, d1, L3, d2, part in group:
+                term = left[w1, L2, d1] * right[(w2, L3, d2), d1]
                 if part in chain:
                     chain[part] += term
                 else:
@@ -374,11 +382,13 @@ def _cubic_core(density, exps, gamma, lcut, inner):
                 cut = m.reshape(-1, stride)[:, tail:width] * past[hi]
                 for L1, count in closing:
                     if abs(e) <= L1:
-                        v = at(V[L1, e], 0).reshape(-1, stride)
+                        v = close[L1, e]
                         trace += count * np.vdot(m, v)
                         shell += count * np.vdot(cut, v[:, tail:width])
             # kept, they would overlap the next group's or chunk's arrays
             del term, chain, m, cut
+        # the views hold V and U too, which the next chunk frees first
+        del left, right, close, past
     return float(trace), float(shell)
 
 

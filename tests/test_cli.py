@@ -6,11 +6,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from sphere_sumrules import cli, sumrules
+from sphere_sumrules import cli, harmonics, sumrules
 from sphere_sumrules.errors import NonConvergenceError, ValidationError
 from sphere_sumrules.sumrules import (MAX_ELL_CUT, closed_form_reference,
                                       zeta_uniform)
@@ -217,6 +218,20 @@ def test_bad_coefficient_file_exits_one(tmp_path, capsys, content):
                                       "--coeffs", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "coefficient" in err
+
+
+@pytest.mark.parametrize("ell", ["1e300", "2000000", str(MAX_ELL_CUT + 1)])
+def test_coefficient_degree_above_the_ceiling_exits_one(tmp_path, capsys, ell):
+    # 1e300 exited 2 with a raw conversion error, and 2000000 was still
+    # sampling the density's positivity after 10 s; neither may get that far
+    path = tmp_path / "den.json"
+    path.write_text('[{"ell": %s, "m": [0, 0], "re": 1e-9}]' % ell)
+    with _sums_forbidden(), mock.patch.object(
+            harmonics, "gegenbauer", side_effect=AssertionError("sampled")):
+        code, out, err = run_cli(capsys, ["exact", "--d", "3", "--p", "2",
+                                          "--coeffs", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: degree=") and "ceiling" in err
 
 
 def test_missing_coefficient_file_exits_one(tmp_path, capsys):

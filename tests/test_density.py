@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from sphere_sumrules.density import (DensitySpec, _angles_from_vector,
                                      kappa_bound)
-from sphere_sumrules.errors import ValidationError
+from sphere_sumrules import harmonics
+from sphere_sumrules.errors import MAX_ELL_CUT, ValidationError
 from sphere_sumrules.harmonics import (HarmonicIndex, degeneracy,
                                        enumerate_m, eval_harmonic,
                                        sphere_volume)
@@ -77,6 +78,17 @@ def test_zonal_constructor_dict_and_list():
 def test_zonal_degree_must_be_an_integer(coeffs):
     with pytest.raises(ValidationError, match="zonal degree"):
         DensitySpec.zonal(3, coeffs)
+
+
+@pytest.mark.parametrize("L", [MAX_ELL_CUT + 1, 10 ** 7, 1e300])
+def test_zonal_degree_above_the_ceiling_is_rejected_before_sampling(L):
+    # the positivity sample at degree 10**7 ran past 10 s
+    with mock.patch.object(harmonics, "gegenbauer",
+                           side_effect=AssertionError("sampled")):
+        with pytest.raises(ValidationError, match="ceiling"):
+            DensitySpec.zonal(3, {L: 1e-9})
+        with pytest.raises(ValidationError, match="ceiling"):
+            DensitySpec.from_coeffs(3, [((3, L, (0, 0)), 1e-9)])
 
 
 def test_integral_float_zonal_degree_is_the_integer_degree():

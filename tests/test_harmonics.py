@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer, roots_legendre, sph_harm_y
 
-from sphere_sumrules.errors import ValidationError
+from sphere_sumrules.errors import MAX_ELL_CUT, ValidationError
 from sphere_sumrules.harmonics import (
     HarmonicIndex,
     _degeneracy_at,
@@ -151,6 +151,26 @@ def test_index_validation():
     HarmonicIndex(3, 2, (1, -1))
     with pytest.raises(ValidationError):
         HarmonicIndex(4, 2, (1, -1, 0))
+
+
+@pytest.mark.parametrize("ell, m", [
+    (2.5, (0, 0)), (-1, (0, 0)), (True, (0, 0)), ("2", (0, 0)),
+    (math.nan, (0, 0)), (1e300, (0, 0)), (MAX_ELL_CUT + 1, (0, 0)),
+    # int() read (1.7, 0) as (1, 0)
+    (3, (1.7, 0)), (3, (1, 0.5)), (3, ("1", 0)), (3, (None, 0)),
+    (3, (True, 0))])
+def test_index_entries_must_be_integers_up_to_the_ceiling(ell, m):
+    # each was accepted, or failed later with a raw TypeError or an
+    # allocation sized by the degree
+    with pytest.raises(ValidationError):
+        HarmonicIndex(3, ell, m)
+
+
+def test_integral_index_entries_read_as_ints():
+    idx = HarmonicIndex(3, np.int64(3), (2.0, np.int32(-1)))
+    assert idx == HarmonicIndex(3, 3, [2, -1])
+    assert type(idx.ell) is int and {type(v) for v in idx.m} == {int}
+    assert HarmonicIndex(3, MAX_ELL_CUT, (0, 0)).ell == MAX_ELL_CUT
 
 
 # ----------------------------------------------------------------------
