@@ -1,6 +1,7 @@
 """Shared exception types for the sphere-sumrules package, and the one
 check per kind of scalar argument that every entry point calls."""
 
+import decimal
 import math
 import numbers
 import sys
@@ -34,12 +35,11 @@ class NonConvergenceError(SphereSumRulesError, ArithmeticError):
     """An iterative numerical procedure failed to reach its tolerance."""
 
 
-# Largest accepted cutoff.  Every band sum up to it fits in memory as a
-# float array; the cubic trace's time grows like its square and its
-# working set linearly, and it and the dense blocks are held to MAX_BYTES.
+# Largest accepted cutoff.  Every band sum and cubic trace up to it runs
+# in passes of a fixed working set; the dense blocks are held to MAX_BYTES.
 MAX_ELL_CUT = 10 ** 6
 
-# Largest working set of one cubic trace or dense block, 1 GiB.
+# Largest working set of one dense block, 1 GiB.
 MAX_BYTES = 2 ** 30
 
 
@@ -65,8 +65,9 @@ def check_integer(value, name, least=0, most=MAX_ELL_CUT):
                 else "an integer >= %d" % least)
         raise ValidationError("%s must be %s, got %r" % (name, kind, value))
     if most is not None and n > most:
-        raise ValidationError("%s=%d is above the supported ceiling %d"
-                              % (name, n, most))
+        shown = n if n < 10 ** 20 else format(decimal.Decimal(n), ".2e")
+        raise ValidationError("%s=%s is above the supported ceiling %d"
+                              % (name, shown, most))
     return n
 
 

@@ -16,8 +16,8 @@ in harmonic coefficient space:
 * J-type traces tr(G^(q1+1) B ... G^(qk+1) B): an infinite degree sum
   handled by closed-form pair strengths S_L(l, l') plus Euler-Maclaurin
   tail acceleration, and (for zonal densities with coupled degree triples)
-  a triple trace, taken on every m2 block at once as chains of banded
-  products D W D W D closed by the third degree's band;
+  a triple trace over the cycles of three banded couplings, whose m2
+  blocks the moments of the block index sum at a cost linear in the cut;
 * the zero-mode energy coefficients eps_1..eps_4 of the gamma-shifted
   problem, both in closed form and by an independent linear-algebra
   recursion;
@@ -37,11 +37,10 @@ from scipy import sparse, special
 
 from . import harmonics, rayleigh_ritz, tails
 from .density import DensitySpec, check_density, check_kappa, kappa_bound
-from .errors import (MAX_BYTES as _CUBIC_MAX_BYTES, MAX_ELL_CUT,
-                     CutoffTooSmallError, DivergentSumError,
+from .errors import (MAX_ELL_CUT, CutoffTooSmallError, DivergentSumError,
                      UnsupportedDensityError, UnsupportedOrderError,
-                     ValidationError, check_bytes, check_dimension,
-                     check_gamma, check_integer, integral)
+                     ValidationError, check_dimension, check_gamma,
+                     check_integer, integral)
 
 __all__ = [
     "DensitySpec", "EpsilonCoeffs", "MAX_ELL_CUT", "SumRuleResult",
@@ -199,13 +198,8 @@ def _band_sum(d, L, a, b, gamma=0.0, switch=DEFAULT_ELL_CUT):
 def _coupled_triples(density):
     """Ordered degree triples in the support passing parity + triangle."""
     degs = sorted({idx.ell for idx, _ in density.entries})
-    out = []
-    for a in degs:
-        for b in degs:
-            for c in degs:
-                if (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b:
-                    out.append((a, b, c))
-    return out
+    return [(a, b, c) for a in degs for b in degs for c in degs
+            if (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b]
 
 
 # The dihedral moves of the cycle V_L1 -w0- V_L2 -w1- V_L3 -w2- (back to
@@ -237,12 +231,6 @@ def _cubic_classes(density, powers):
     return classes
 
 
-# m2 rows per chunk of the cubic trace's (m2, n) grid: the working set is a
-# few dozen arrays of this many rows by the cutoff, under 4 MB at the
-# default cutoff.
-_CUBIC_CHUNK_ROWS = 32
-
-
 def _cubic_plan(density, powers):
     """The chains of the cubic trace for weight powers, one per group of
     degree pairs (L2, L3) whose representatives share their closing degrees
@@ -271,9 +259,106 @@ def _cubic_plan(density, powers):
     return plan
 
 
+def _cycle_sums(plan, powers, band, wts, lo, a, b, inner, moments):
+    """(trace, top shell) of the cycles l -> l + d1 -> l + e -> l from the
+    starts l = a..b, the shell those with l + hi > inner: band(L, o)[c, j,
+    i - lo] is coefficient c of V_L(i, i + o) at lead entry j, wts[w][i -
+    lo] is 1 / (lambda_i + gamma)^w or 0; P adds sum_c P_c moments[c]."""
+    w0, w1, w2 = powers
+
+    def at(x, o):  # x at the rows l + o of the starts l
+        return x[..., a + o - lo:b + 1 + o - lo]
+
+    left, closed, trace, shell = {}, {}, 0.0, 0.0
+    for closing, group in plan:
+        chains = {}
+        for L2, d1, L3, d2, part in group:
+            if (L2, d1) not in left:
+                left[L2, d1] = at(band(L2, d1), 0) * at(wts[w1], d1)
+            x, y = left[L2, d1], at(band(L3, d2), d1) * at(wts[w2], d1 + d2)
+            chain = chains.setdefault(part, np.zeros(moments.shape))
+            if len(x) > len(y):
+                x, y = y, x
+            for k, xk in enumerate(x):
+                chain[k:k + len(y)] += xk * y
+        for (e, hi), chain in chains.items():
+            cut = max(0, inner - hi + 1 - a)
+            for L1, count in closing:
+                if abs(e) > L1:
+                    continue
+                if (L1, e) not in closed:
+                    c = at(band(L1, -e), e) * at(wts[w0], 0)
+                    size = len(moments) - len(c) + 1
+                    closed[L1, e] = sum(ck * moments[k:k + size]
+                                        for k, ck in enumerate(c))
+                r = closed[L1, e]  # the chain is 0 past len(r)
+                trace += count * np.vdot(chain[:len(r)], r)
+                shell += count * np.vdot(chain[:len(r), ..., cut:],
+                                         r[..., cut:])
+    return trace, shell
+
+
+def _low_bands(d, zc, l0):
+    """band(L, o) of `_cycle_sums` for the blocks m2 < l0, each a lead entry,
+    at the degrees -top..l0 + top - 1: c_L times the block's zonal band,
+    symmetric: J' rounds worse near l = 0, where a small gamma weighs most."""
+    top, up = max(zc), {}
+    for L, diags in harmonics._zonal_bands(d, zc, range(l0), l0 + top).items():
+        up[L] = np.zeros((len(diags), 1, l0, l0 + 3 * top))
+        for m2 in range(l0):
+            np.multiply(diags[:, m2, :l0 + top - m2], zc[L],
+                        out=up[L][:, 0, m2, m2 + 2 * top:])
+    # V_L is symmetric: offset o < 0 is offset -o moved by o
+    return lambda L, o: up[L][abs(o) // 2, ..., top + min(o, 0):][
+        ..., :l0 + 2 * top]
+
+
+def _jacobi_bands(d, zc, lo, rows, u=None, scale=1.0):
+    """band(L, o) of `_cycle_sums` at the degrees lo..lo + rows - 1 (lo >
+    2 top), from C_L(J'), similar to C_L(J): J' has superdiagonal 1 and
+    subdiagonal b^2(i) = (i (i + d - 2) - u) / (4 (i + alpha) (i + alpha
+    - 1)), 0 at i = m2.  An entry at offset o is a polynomial in u of degree
+    (L - o) / 2 with coefficients that depend on i alone: without u every
+    block is one lead entry, coefficient c that of (u / scale)^c; with the
+    blocks' u = m2 (m2 + d - 2), each is its own.  C_k is (offset,
+    coefficient, lead, row)."""
+    alpha, top = (d - 1) / 2.0, max(zc)
+    i = np.arange(lo - top, lo + rows + top, dtype=float)
+    den = 4.0 * (i + alpha) * (i + alpha - 1.0)
+    if u is None:
+        p, q = i * (i + d - 2.0) / den, scale / den
+    else:
+        b2 = (i * (i + d - 2.0) - u) / den
+    prev, c, bands = None, np.ones((1, 1, 1, len(i))), {}
+    for k in range(1, top + 1):
+        # (J' C)[i, i + o] = C[i + 1, i + o] + b^2(i) C[i - 1, i + o]
+        down, live = c[..., :-2], slice(k, len(i) - k)
+        step = np.zeros((k + 1, k + 1 if u is None else 1,
+                         1 if u is None else len(u), down.shape[-1]))
+        step[1:, :c.shape[1]] = c[..., 2:]
+        if u is None:
+            step[:k, :k] += p[live] * down
+            step[:k, 1:] -= q[live] * down
+        else:
+            step[:k] += b2[:, live] * down
+        step *= 2.0 * (k + alpha - 1.0) / k
+        if k > 1:
+            step[1:-1, :prev.shape[1]] -= ((k + 2 * alpha - 2) / k
+                                           * prev[..., 2:-2])
+        prev, c = c, step
+        if k in zc:
+            bands[k] = (zc[k] * math.exp(harmonics._log_zonal_norm(d, k))
+                        * c[..., top - k:top - k + rows])
+    return lambda L, o: bands[L][(o + L) // 2, :(L - o) // 2 + 1]
+
+
+# past this degree in u of a cycle the moments' monomials cancel too far
+_MOMENT_DEGREE = 8
+
+
 def _cubic_core(density, exps, gamma, lcut, inner):
-    """Triple trace over sigma insertions truncated at degree lcut, and the
-    trace's top shell above inner, both from one pass.
+    """Triple trace over sigma insertions truncated at degree lcut, and its
+    top shell, the cycles whose largest degree lies in (inner, lcut].
 
     The weights are 1/(lambda + gamma)^(e+1) for exps (e0, e1, e2):
     gamma=None gives the unshifted trace over l >= 1, a positive gamma
@@ -282,149 +367,64 @@ def _cubic_core(density, exps, gamma, lcut, inner):
         sum over coupled (L1, L2, L3) of  tr(D0 V_L2 D1 V_L3 D2 V_L1),
 
     with D_k the diagonal weights and V_L = c_L W_L the density's banded
-    couplings.  Triples whose traces a turn or reversal of the cycle
-    equates form one class (`_cubic_classes`); only each class's
-    representative is traced, and its trace counts once per member.  With
-    equal weights, as in `sum_rule` and `sum_rule_shifted`, every ordering
-    of a triple is one class; with distinct weights each triple is its own.
-
-    The blocks are the rows of an (m2, n) grid, l = m2 + n, laid end to
-    end in flat arrays, each row ell_max columns past lcut, where the
-    weights vanish.  Each degree's diagonals are written once, c_L times
-    zonal bands, into zeros, and the band V_L(l, l + o) of any offset is
-    a view of them, moved by o if o < 0.  Only the right-hand weight is
-    folded into a band, U[w, L, o] = V_L(l, l + o) lambda(l + o)^-w, per
-    distinct power w of D1 and D2.  Each pair (L2, L3) is traced as a
-    chain (`_cubic_plan`): its band product M = D0 V_L2 D1 V_L3 D2 takes
-    one multiply-add U[w1, L2, d1] U[w2, L3, d2], the second moved by d1,
-    per offset pair, into the part of M at offset e = d1 + d2 whose cycles
-    l -> l + d1 -> l + e -> l reach their largest degree at l + hi.  Pairs
-    with the same closing degrees and class sizes share one product.  Each
-    part, scaled once by D0 g_{d-1}(m2), is contracted with the band of
-    each L1 that closes a representative with it, over the grid for the
-    trace and over the trailing columns where l + hi > inner for the top
-    shell, so the shell costs no second pass; the dot products count once
-    per member of that representative's class.  No other L1 enters: a
-    forbidden triple vanishes only by cancellation across blocks.  A chunk
-    takes each view and shell mask the plan reads once.
-
-    Returns (trace, top_shell), top_shell the sum of the cycles whose
-    largest degree lies in (inner, lcut].
+    couplings, each class of `_cubic_classes` traced once (a triple the
+    triangle rule forbids, zero only over all blocks, never enters), as a
+    sum over the degree l where a cycle l -> l + d1 -> l + e -> l starts
+    (`_cycle_sums`).  From l0 = 3 top on, a cycle is a polynomial in
+    u = m2 (m2 + d - 2) (`_jacobi_bands`), summed over the blocks m2 <= l
+    by the moments sum_{m <= l} g_{d-1}(m) u(m)^k: a cost linear in lcut.
+    Below l0, where the monomials' cancellation costs digits, each block
+    is summed on its own (`_low_bands`), and past l0 too once a cycle's
+    degree in u passes _MOMENT_DEGREE, at a cost quadratic in lcut.  The
+    starts past l0 go in passes of _PASS_POINTS / (top + 1)^2 degrees, so
+    the working set does not grow with lcut; a pass scales u by its value
+    at its last start, so no moment overflows.
     """
-    d = density.d
-    zc = density.zonal_coeffs()
-    floor = 1 if gamma is None else 0
-    shift = 0.0 if gamma is None else gamma
-    powers = [e + 1 for e in exps]
-    w1, w2 = powers[1:]
+    d, zc = density.d, density.zonal_coeffs()
+    powers, top = [e + 1 for e in exps], max(zc)
     plan = _cubic_plan(density, powers)
-    steps = [step for _, group in plan for step in group]
-    # a step reads U[w1, L2, d1] and U[w2, L3, d2] moved by d1
-    lefts = {(w1, L2, d1) for L2, d1, *_ in steps}
-    rights = {((w2, L3, d2), d1) for _, d1, L3, d2, _ in steps}
-    used = lefts | {band for band, _ in rights}
-    his = {hi for *_, (_, hi) in steps}
-    closes = {(L1, e) for group, chain in plan for L1, _ in group
-              for *_, (e, _) in chain if abs(e) <= L1}
-    pad = density.ell_max
-    trace = shell = 0.0
-    for first in range(0, lcut + 1, _CUBIC_CHUNK_ROWS):
-        m2 = np.arange(first, min(first + _CUBIC_CHUNK_ROWS, lcut + 1))
-        width = lcut - first + 1
-        stride = width + pad
-        size = len(m2) * stride
-        # 2 pad entries more at either end, for a band's margin and move
-        grid = slice(2 * pad, 2 * pad + size)
-        ls = m2[:, None] + np.arange(stride, dtype=float)
-        lam = np.full(size + 4 * pad, np.inf)
-        np.multiply(ls, ls + (d - 1.0), out=lam[grid].reshape(-1, stride),
-                    where=(ls >= floor) & (ls <= lcut))
-        lam += shift
-        # g_{d-1}(m2): for d >= 3 the polynomial, exact at every m2 the
-        # byte budget admits (its products stay below 2^53); g_1 is 1, 2, 2
-        gm = (harmonics._degeneracy_at(d - 1, m2) if d > 2
-              else np.where(m2 > 0, 2.0, 1.0))
-        # each distinct power once: sum_rule and sum_rule_shifted use 1, 1, 1
-        wts = {pw: lam ** -pw for pw in set(powers)}
-        opening = wts[powers[0]][grid] * np.repeat(gm, stride)
-        # the top shell lies past grid column `tail` (hi <= pad); past[hi]
-        # marks its columns n there, l + hi > inner
-        tail = min(max(0, inner + 1 - pad - int(m2[-1])), width)
-        past = {hi: ls[:, tail:width] > inner - hi for hi in his}
-        del ls, lam  # the bands and chains below read neither
+    if not plan:
+        return 0.0, 0.0
+    most = max(L1 + L2 + L3 for closing, group in plan
+               for L1, _ in closing for L2, _, L3, *_ in group) // 2
 
-        # the previous chunk's bands go first (freed at the chunk's end,
-        # they let the heap shrink, and faulting it back cost 15% at
-        # ell_cut = 200); diagonal i of degree L is offset L % 2 + 2 i
-        V, U = {}, {}
-        bands = harmonics._zonal_bands(d, zc, m2, stride)
-        for L, c in zc.items():
-            diags = np.zeros((L // 2 + 1, size + 4 * pad))
-            np.multiply(bands.pop(L), c, out=diags[:, grid].reshape(
-                L // 2 + 1, len(m2), stride))
-            for o in range(-L, L + 1, 2):
-                V[L, o] = diags[abs(o) // 2, pad + min(o, 0):][:size + 2 * pad]
-        for w, L, o in used:
-            U[w, L, o] = V[L, o] * wts[w][pad + o:][:size + 2 * pad]
-        left = {k: U[k][pad:pad + size] for k in lefts}
-        right = {(b, s): U[b][pad + s:pad + s + size] for b, s in rights}
-        close = {k: V[k][pad:pad + size].reshape(-1, stride) for k in closes}
-        for closing, group in plan:
-            chain = {}
-            for L2, d1, L3, d2, part in group:
-                term = left[w1, L2, d1] * right[(w2, L3, d2), d1]
-                if part in chain:
-                    chain[part] += term
-                else:
-                    chain[part] = term
-            for (e, hi), m in chain.items():
-                m *= opening
-                cut = m.reshape(-1, stride)[:, tail:width] * past[hi]
-                for L1, count in closing:
-                    if abs(e) <= L1:
-                        v = close[L1, e]
-                        trace += count * np.vdot(m, v)
-                        shell += count * np.vdot(cut, v[:, tail:width])
-            # kept, they would overlap the next group's or chunk's arrays
-            del term, chain, m, cut
-        # the views hold V and U too, which the next chunk frees first
-        del left, right, close, past
-    return float(trace), float(shell)
+    def g(m2):  # g_{d-1}(m2); g_1 is 1, 2, 2, ...
+        return (harmonics._degeneracy_at(d - 1, m2) if d > 2
+                else np.where(m2 > 0, 2.0, 1.0))
 
+    def cycles(band, a, b, moments):
+        ls = np.arange(a - top, b + top + 1, dtype=float)
+        live = (ls >= (1 if gamma is None else 0)) & (ls <= lcut)
+        lam = np.where(live, ls * (ls + d - 1.0) + (gamma or 0.0), np.inf)
+        wts = {w: lam ** -w for w in set(powers)}
+        sums[:] += _cycle_sums(plan, powers, band, wts, a - top, a, b,
+                               inner, moments)
 
-def _cubic_bytes(density, lcut):
-    """Bytes `_cubic_core` holds at once for the density's trace at lcut,
-    with any exponents.
-
-    Counted in flat arrays of the first chunk, `_CUBIC_CHUNK_ROWS` rows of
-    lcut + 1 + top columns and 4 top entries more: l, lam, three weights
-    and D0 g_{d-1}; each degree L's L // 2 + 1 diagonals; the T + 1
-    weighted bands of each degree T of a coupled triple per power, as if
-    D1 and D2 differed; a chain's parts, one per hi from max(0, e) to top
-    for each offset |e| <= top of top's parity (top is coupled, in
-    (L, top, top) for any even L); a chain step's product and the one
-    before; the top shell's product and its dot product's copy; and a byte
-    per grid entry for each of the shell's top + 1 masks.  The recurrence
-    is held only before any weighted band, and takes less.
-    """
-    degrees = density.rho_by_degree()
-    top = max(degrees)
-    coupled = {L for triple in _coupled_triples(density) for L in triple}
-    parts = sum(top - max(0, e) + 1 for e in range(-top, top + 1, 2))
-    arrays = (6 + sum(L // 2 + 1 for L in degrees) + parts + 4
-              + 2 * sum(L + 1 for L in coupled))
-    rows = min(_CUBIC_CHUNK_ROWS, lcut + 1)
-    return (rows * (lcut + 1 + top) + 4 * top) * (8 * arrays + top + 1)
-
-
-def _check_cubic_budget(density, lcut):
-    """Reject, before any sum runs, a cut whose cubic trace would need more
-    than MAX_BYTES (_CUBIC_MAX_BYTES here): about ell_cut = 92000 for
-    degrees {1, 2, 3}."""
-    if not _coupled_triples(density):
-        return
-    check_bytes(_cubic_bytes(density, lcut),
-                "the cubic trace of this density at ell_cut=%d" % lcut)
+    sums, l0 = np.zeros(2), min(3 * top, lcut + 1)
+    m2 = np.arange(l0)[:, None]
+    cycles(_low_bands(d, zc, l0), 0, l0 - 1,
+           (g(m2) * (np.arange(l0) >= m2))[None])
+    ks, carry, scale, a = np.arange(most + 1)[:, None], 0.0, 1.0, l0
+    while a <= lcut:
+        b = min(lcut, a + max(1, _PASS_POINTS // (top + 1) ** 2) - 1)
+        if most > _MOMENT_DEGREE:
+            # each block m2 <= b on its own, 32 a chunk, from the chunk's m2
+            for first in range(0, b + 1, 32):
+                m2 = np.arange(first, min(b + 1, first + 32))[:, None]
+                at = max(a, first)
+                cycles(_jacobi_bands(d, zc, at - top, b - at + 1 + 2 * top,
+                                     m2 * (m2 + d - 2)),
+                       at, b, (g(m2) * (np.arange(at, b + 1) >= m2))[None])
+        else:
+            last, rows = b * (b + d - 2.0), b - a + 1 + 2 * top
+            m = np.arange(0 if a == l0 else a, b + 1, dtype=float)
+            moments = carry * (scale / last) ** ks + np.cumsum(
+                g(m) * (m * (m + d - 2) / last) ** ks, axis=1)
+            carry, scale = moments[:, -1:], last
+            cycles(_jacobi_bands(d, zc, a - top, rows, scale=last), a, b,
+                   moments[:, None, len(m) - (b - a + 1):])
+        a = b + 1
+    return float(sums[0]), float(sums[1])
 
 
 def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
@@ -432,8 +432,8 @@ def _cubic_trace(density, exps, gamma=None, lcut=DEFAULT_ELL_CUT):
 
     The pass that takes the trace also sums its top shell, the cycles whose
     largest degree lies within 16 degrees below lcut.  The summand falls
-    like l^-(2 sum(e + 1)) over the exps e while the m2-summed grid grows
-    like l^(d-1), so the tail beyond lcut falls like lcut^-s with
+    like l^-(2 sum(e + 1)) over the exps e while the blocks at a degree
+    grow like l^(d-1), so the tail beyond lcut falls like lcut^-s with
     s = 2 sum(e + 1) - d, and the tail is the top shell scaled by
     lcut / (s * shell width).
     """
@@ -549,8 +549,6 @@ def _J(orders, density, switch, gamma=None):
     s = sum(orders) + len(orders)
     _check_convergent(d, s, "trace J%d(%s)" % (
         len(orders) - 1, ",".join(map(str, orders))))
-    if len(orders) == 3:
-        _check_cubic_budget(density, switch)
     shift = 0.0 if gamma is None else gamma
     vol = harmonics.sphere_volume(d)
     value, err = _spectral_trace(d, s, shift, switch)

@@ -133,17 +133,16 @@ def test_exact_cutoff_above_ceiling_exits_one(capsys, cut):
     assert out == ""
 
 
-def test_exact_cubic_trace_past_its_budget_exits_one(capsys):
-    # a cut under the ceiling whose cubic trace would need gigabytes; the
-    # sums are stubbed out, so a missing check fails here instead of
-    # allocating them
-    with _sums_forbidden():
-        code, out, err = run_cli(capsys, [
-            "exact", "--d", "3", "--p", "3", "--coeffs",
-            str(DATA / "zonal_d3.json"), "--ell-cut", "1000000"])
-    assert code == 1
-    assert "cubic trace" in err
-    assert out == ""
+def test_exact_cubic_trace_at_a_cutoff_of_100000_exits_zero(capsys):
+    # the cubic trace runs in passes of a fixed size, so a cut of 10^5 is
+    # summed, not refused for its working set
+    code, out, err = run_cli(capsys, [
+        "exact", "--d", "3", "--p", "3", "--coeffs",
+        str(DATA / "zonal_d3.json"), "--ell-cut", "100000"])
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1].split(",")
+    assert row[-1] == "100000"
+    assert math.isfinite(float(row[1])) and math.isfinite(float(row[4]))
 
 
 def test_exact_negative_cutoff_exits_one(capsys):
@@ -232,6 +231,8 @@ def test_coefficient_degree_above_the_ceiling_exits_one(tmp_path, capsys, ell):
                                           "--coeffs", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("error: degree=") and "ceiling" in err
+    # one short line, not the 301 digits of 1e300
+    assert len(err) < 80
 
 
 def test_missing_coefficient_file_exits_one(tmp_path, capsys):

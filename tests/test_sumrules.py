@@ -6,11 +6,8 @@ expressions in kappa; and the full engine is checked against the quartic/
 sextic closed forms for (d, p) in {(3,2), (3,3), (4,3), (5,3)}.
 """
 
-import bisect
 import contextlib
-import inspect
 import math
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -28,15 +25,13 @@ from sphere_sumrules.errors import (
     UnsupportedDensityError,
     UnsupportedOrderError,
     ValidationError,
+    check_integer,
 )
 from sphere_sumrules.greens import GreenOrder
 from sphere_sumrules.harmonics import HarmonicIndex, sphere_volume
 from sphere_sumrules.sumrules import (
     MAX_ELL_CUT,
-    _CUBIC_MAX_BYTES,
-    _check_cubic_budget,
     _check_ell_cut,
-    _cubic_bytes,
     _cubic_core,
     _cubic_trace,
     closed_form_reference,
@@ -50,6 +45,7 @@ from sphere_sumrules.sumrules import (
 )
 from sphere_sumrules.weyl import hybrid_sum_rule
 
+import reference
 from test_zonal_properties import zonal_densities
 
 PI = math.pi
@@ -234,10 +230,11 @@ def test_cubic_sum_rule_past_gauss_jacobi_failure(cubic_sum_rules):
     assert res5.ell_cut == 740
 
 
-# _cubic_core's (trace, top shell) at cut 200 and inner 184, as float.hex:
-# seven chunks of 32 rows, a density whose top degree 5 runs each row five
-# columns past the cut, both weight patterns and both floors.  Values of a
-# change that only reorganises the pass must not move by a bit.
+# The (trace, top shell) at cut 200 and inner 184 of the cubic trace's
+# earlier route, the (m2, n) grid that summed every block on its own, as
+# float.hex: a density whose top degree 5 reaches past the cut, both
+# weight patterns and both floors.  They stay as that grid's values; the
+# route that sums the blocks by their moments is held to them at 1e-12.
 CUBIC_CORE_PINS = [
     ('three', 2, (0, 0, 0), None, '0x1.2367d6ff64495p-13', '0x1.15463915568c8p-42'),
     ('three', 2, (0, 0, 0), 0.001, '0x1.1ff0a43a8c1ffp-1', '0x1.15463797c5730p-42'),
@@ -274,12 +271,89 @@ CUBIC_CORE_PINS = [
 ]
 
 
-@pytest.mark.parametrize("name, d, exps, gamma, trace, shell", CUBIC_CORE_PINS)
-def test_cubic_core_is_pinned_to_the_bit(name, d, exps, gamma, trace, shell):
+def _pinned_core(name, d, exps, gamma):
     coeffs = {"three": CUBIC_COEFFS,
               "wide": {2: 0.05, 4: 0.03, 5: 0.02}}[name]
-    got = _cubic_core(DensitySpec.zonal(d, coeffs), exps, gamma, 200, 184)
+    return _cubic_core(DensitySpec.zonal(d, coeffs), exps, gamma, 200, 184)
+
+
+@pytest.mark.parametrize("name, d, exps, gamma, trace, shell", CUBIC_CORE_PINS)
+def test_cubic_core_is_pinned_to_the_bit(name, d, exps, gamma, trace, shell):
+    # the grid's pins, which the moments meet to 3.5e-13 (the shells of
+    # 'wide' at d = 4 and 5) and the traces to 7.5e-15; 1e-12 leaves room
+    # for the moments' cancellation, which grows with the degrees
+    got = _pinned_core(name, d, exps, gamma)
+    for value, pin in zip(got, (trace, shell)):
+        assert value == pytest.approx(float.fromhex(pin), rel=1e-12, abs=0)
+
+
+# The same cases as float.hex of the route that sums the blocks by their
+# moments.  Values of a change that only reorganises its pass must not move
+# by a bit.
+MOMENT_CORE_PINS = [
+    ('three', 2, (0, 0, 0), None, '0x1.2367d6ff64494p-13', '0x1.15463915568bfp-42'),
+    ('three', 2, (0, 0, 0), 0.001, '0x1.1ff0a43a8c1fbp-1', '0x1.15463797c5728p-42'),
+    ('three', 2, (1, 2, 0), None, '0x1.6c662f00c73cdp-18', '0x1.918a82ba83348p-88'),
+    ('three', 2, (1, 2, 0), 0.001, '0x1.27a806e995045p+16', '0x1.918a7e61c151bp-88'),
+    ('three', 3, (0, 0, 0), None, '0x1.ae0f3e6d1436bp-15', '0x1.e8a609174400ap-37'),
+    ('three', 3, (0, 0, 0), 0.001, '0x1.3d91f8a9f504ap-3', '0x1.e8a6067b8aa6dp-37'),
+    ('three', 3, (1, 2, 0), None, '0x1.f754e38813474p-22', '0x1.5a6b7eb98da93p-82'),
+    ('three', 3, (1, 2, 0), 0.001, '0x1.adf7a85fff78bp+13', '0x1.5a6b7b004b25fp-82'),
+    ('three', 4, (0, 0, 0), None, '0x1.e666a29014847p-16', '0x1.5bce89fef4b10p-31'),
+    ('three', 4, (0, 0, 0), 0.001, '0x1.06759848d885fp-4', '0x1.5bce8826da5c9p-31'),
+    ('three', 4, (1, 2, 0), None, '0x1.661a2938c27e5p-24', '0x1.e35a3e63e47d6p-77'),
+    ('three', 4, (1, 2, 0), 0.001, '0x1.08dfe385205d7p+12', '0x1.e35a393ab219ap-77'),
+    ('three', 5, (0, 0, 0), None, '0x1.b02a81a17d790p-16', '0x1.b46c5ef40a01ap-26'),
+    ('three', 5, (0, 0, 0), 0.001, '0x1.1de8f4bea0c15p-5', '0x1.b46c5ca77e3a8p-26'),
+    ('three', 5, (1, 2, 0), None, '0x1.95d4bb272f0cep-26', '0x1.296281aca04b9p-71'),
+    ('three', 5, (1, 2, 0), 0.001, '0x1.cbbb7d12817a3p+10', '0x1.29627e8509037p-71'),
+    ('wide', 2, (0, 0, 0), None, '0x1.5fe0b5affb889p-21', '0x1.517b88bd4aedfp-50'),
+    ('wide', 2, (0, 0, 0), 0.001, '0x1.984d629175971p-12', '0x1.517b86ea1de14p-50'),
+    ('wide', 2, (1, 2, 0), None, '0x1.509cbaefcdb9fp-25', '0x1.f18d4150031ffp-96'),
+    ('wide', 2, (1, 2, 0), 0.001, '0x1.3113cc39369edp+4', '0x1.f18d3be4b62d4p-96'),
+    ('wide', 3, (0, 0, 0), None, '0x1.03a0863affe04p-22', '0x1.7111b13a6f79ap-44'),
+    ('wide', 3, (0, 0, 0), 0.001, '0x1.516e8ae0997f3p-13', '0x1.7111af3fb2bd5p-44'),
+    ('wide', 3, (1, 2, 0), None, '0x1.acb7bbb405fc7p-29', '0x1.0976cb38a7568p-89'),
+    ('wide', 3, (1, 2, 0), 0.001, '0x1.7614b8de6d1bcp+2', '0x1.0976c85a81d15p-89'),
+    ('wide', 4, (0, 0, 0), None, '0x1.38be08aa20b09p-23', '0x1.2c37f698f3f4ap-38'),
+    ('wide', 4, (0, 0, 0), 0.001, '0x1.5f50fa07fb9e7p-14', '0x1.2c37f4ffbd02cp-38'),
+    ('wide', 4, (1, 2, 0), None, '0x1.1b59bd7ce8f16p-31', '0x1.a68c219c2c1a2p-84'),
+    ('wide', 4, (1, 2, 0), 0.001, '0x1.343c8262931ffp+1', '0x1.a68c1d141a04bp-84'),
+    ('wide', 5, (0, 0, 0), None, '0x1.3e05c588a765fp-23', '0x1.9f0e1733dba78p-33'),
+    ('wide', 5, (0, 0, 0), 0.001, '0x1.bf865e4d496f3p-15', '0x1.9f0e1501fe28dp-33'),
+    ('wide', 5, (1, 2, 0), None, '0x1.2f58074242996p-33', '0x1.1e1e0b61b681dp-78'),
+    ('wide', 5, (1, 2, 0), 0.001, '0x1.43e830632acb4p+0', '0x1.1e1e0855993d6p-78'),
+]
+
+
+@pytest.mark.parametrize("name, d, exps, gamma, trace, shell",
+                         MOMENT_CORE_PINS)
+def test_cubic_core_by_moments_is_pinned_to_the_bit(name, d, exps, gamma,
+                                                    trace, shell):
+    got = _pinned_core(name, d, exps, gamma)
     assert tuple(v.hex() for v in got) == (trace, shell)
+
+
+@pytest.mark.parametrize("name, d, exps, gamma, rel", [
+    # 'three' runs by moments from start 9 on, 'wide' block by block below
+    # 15; each within 1.6e-15 of the 40-digit trace
+    *[("three", d, exps, gamma, 1e-14) for d in (2, 3, 4, 5)
+      for exps, gamma in (((0, 0, 0), None), ((1, 2, 0), 1e-3))],
+    ("wide", 3, (0, 0, 0), None, 1e-14),
+    ("wide", 5, (1, 2, 0), 1e-3, 1e-14),
+    # 7.5e-9 (d = 2) and 4.0e-9 (d = 4) off, as the grid was: the entries
+    # the triangle rule zeroes come out of the band recurrence as rounding
+    # residue, which the weights gamma^-(e+1), up to 1e9 at l = 0, lift;
+    # set to 0, the residue leaves 4e-16
+    ("wide", 2, (1, 2, 0), 1e-3, 1e-8),
+    ("wide", 4, (1, 2, 0), 1e-3, 1e-8),
+])
+def test_cubic_core_matches_the_40_digit_trace(name, d, exps, gamma, rel):
+    coeffs = {"three": CUBIC_COEFFS,
+              "wide": {2: 0.05, 4: 0.03, 5: 0.02}}[name]
+    want = reference.cubic_trace(d, coeffs, exps, gamma, 14)
+    got, _ = _cubic_core(DensitySpec.zonal(d, coeffs), exps, gamma, 14, 13)
+    assert reference.relative_error(got, want) <= rel
 
 
 # ----------------------------------------------------------------------
@@ -532,6 +606,20 @@ def test_cutoff_must_be_a_non_negative_integer(cut):
             call()
 
 
+@pytest.mark.parametrize("value, shown", [
+    (1e300, "1.00e+300"),
+    pytest.param(10 ** 5000, "1.00e+5000", id="10**5000"),
+    (2 * 10 ** 6, "2000000"), (10 ** 19, "10000000000000000000")])
+def test_value_above_the_ceiling_is_shown_in_a_short_message(value, shown):
+    # past 20 digits the value is shown in exponent form: 1e300 in full
+    # made a message of 347 characters
+    with pytest.raises(ValidationError) as info:
+        check_integer(value, "degree")
+    assert str(info.value) == ("degree=%s is above the supported ceiling %d"
+                               % (shown, MAX_ELL_CUT))
+    assert len(str(info.value)) < 80
+
+
 def test_ceiling_is_at_least_a_million():
     assert MAX_ELL_CUT >= 10 ** 6
     assert _check_ell_cut(MAX_ELL_CUT) == MAX_ELL_CUT
@@ -547,112 +635,31 @@ def _sums_forbidden():
         yield
 
 
-def test_cubic_trace_past_its_budget_is_rejected_before_any_sum():
-    # at ell_cut = 10**6 this trace would need some 8 GB; the check only
-    # counts bytes, and no degree sum or trace may run before it
-    den = DensitySpec.zonal(3, {1: 0.1, 2: 0.05})
-    with _sums_forbidden():
-        for call in (
-                lambda: sum_rule(3, 3, den, ell_cut=10 ** 6),
-                lambda: sum_rule_shifted(3, 3, den, 1e-2, ell_cut=10 ** 6),
-                lambda: density_integrals("J2", (0, 0, 0), den,
-                                          ell_cut=10 ** 6)):
-            with pytest.raises(ValidationError, match="cubic trace"):
-                call()
-
-
-def test_cubic_budget_admits_cutoffs_up_to_its_bound():
-    # the largest cut whose byte count fits passes, the next one does not;
-    # a density with no coupled triple has no cubic trace to bound
-    den = DensitySpec.zonal(4, {1: 0.1, 2: 0.05, 3: 0.02})
-    cut = bisect.bisect_right(range(MAX_ELL_CUT + 1), _CUBIC_MAX_BYTES,
-                              key=lambda c: _cubic_bytes(den, c)) - 1
-    assert 10 ** 4 < cut < MAX_ELL_CUT
-    _check_cubic_budget(den, cut)
-    with pytest.raises(ValidationError):
-        _check_cubic_budget(den, cut + 1)
-    _check_cubic_budget(DensitySpec.tilted(4, 1.0), MAX_ELL_CUT)
-
-
-@pytest.mark.parametrize("coeffs", [{2: 0.1}, {1: 0.1, 4: 0.05},
-                                    {1: 0.1, 2: 0.05, 3: 0.02, 4: 0.01}])
-def test_cubic_bytes_bound_the_traced_peak(coeffs):
-    # the budget's count is an upper bound on the trace's working set, and
-    # not a loose one
+@pytest.mark.parametrize("coeffs, points, exps, gamma", [
+    # by moments past 9, in passes of 20 starts
+    ({1: 0.1, 2: 0.05, 3: 0.02}, 16 * 20, (0, 0, 0), None),
+    ({1: 0.1, 2: 0.05, 3: 0.02}, 16 * 20, (0, 1, 2), None),
+    ({1: 0.1, 2: 0.05, 3: 0.02}, 16 * 20, (0, 0, 0), 0.1),
+    # a cycle of degree 9 in u: block by block past 18, in passes of 40
+    # starts and chunks of 32 blocks
+    ({2: 0.05, 6: 0.02}, 49 * 40, (0, 0, 0), None),
+])
+def test_cubic_trace_working_set_does_not_grow_with_the_cut(coeffs, points,
+                                                            exps, gamma):
+    # the traced peak at ell_cut = 800 is that at 200, to the 1.3 kB the
+    # interpreter's own objects move it by: a weight, moment or band held
+    # over the whole cut would add 4.8 kB
     den = DensitySpec.zonal(3, coeffs)
-    tracemalloc.start()
-    try:
-        _cubic_trace(den, (0, 0, 0), None, 300)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    bound = _cubic_bytes(den, 300)
-    assert peak <= bound <= 2.0 * peak
-
-
-@pytest.mark.parametrize("coeffs", [{2: 0.1}, {1: 0.1, 4: 0.05},
-                                    {1: 0.1, 2: 0.05, 3: 0.02, 4: 0.01}])
-@pytest.mark.parametrize("exps, gamma", [
-    ((0, 0, 0), None), ((0, 0, 1), None), ((0, 1, 0), None),
-    ((1, 0, 0), None), ((0, 1, 2), None), ((0, 0, 0), 0.1)])
-def test_cubic_bytes_bound_the_traced_peak_of_every_weight_pattern(
-        coeffs, exps, gamma):
-    # the working set depends on the weight powers (distinct powers weight
-    # a band once for each), and the count bounds it whatever they are
-    den = DensitySpec.zonal(3, coeffs)
-    tracemalloc.start()
-    try:
-        _cubic_trace(den, exps, gamma, 300)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= _cubic_bytes(den, 300)
-
-
-def test_cubic_chains_do_not_outlive_their_group():
-    # traced memory as each group's chain starts, and once the chunk's last
-    # group is contracted, against that as the chunk's first chain starts:
-    # a chain or a temporary kept past its contraction is still held when
-    # the next chain starts, by at least one array of the chunk's grid
-    den = DensitySpec.zonal(3, {1: 0.1, 2: 0.05, 3: 0.02})
-    code = sumrules._cubic_core.__code__
-    lines, start = inspect.getsourcelines(sumrules._cubic_core)
-    # the line of each loop head: True for the chunk loop's, False for the
-    # group loop's
-    heads = {start + i: "for first" in line for i, line in enumerate(lines)
-             if line.lstrip().startswith(("for first in", "for closing,"))}
-    assert sorted(heads.values()) == [False, True]
-    chunks = []
-
-    def trace_core(frame, event, arg):
-        if frame.f_code is not code:
-            return None
-
-        def on_line(frame, event, arg):
-            if event == "line" and frame.f_lineno in heads:
-                if heads[frame.f_lineno]:
-                    chunks.append([])
-                else:
-                    chunks[-1].append(tracemalloc.get_traced_memory()[0])
-            return on_line
-        return on_line
-
-    outer = sys.gettrace()
-    tracemalloc.start()
-    sys.settrace(trace_core)
-    try:
-        _cubic_core(den, (0, 0, 0), None, 300, 284)
-    finally:
-        sys.settrace(outer)
-        tracemalloc.stop()
-    # 4 groups: each of the 10 chunks reads 5 times, at each chain's start
-    # and after the last (the chunk loop's head is met once more at its end)
-    assert chunks.pop() == [] and len(chunks) == 10
-    rows = sumrules._CUBIC_CHUNK_ROWS
-    for k, readings in enumerate(chunks):
-        assert len(readings) == 5
-        grid = 8 * min(rows, 301 - rows * k) * (301 - rows * k)
-        assert max(readings) - readings[0] < grid / 2
+    peaks = []
+    with mock.patch.object(sumrules, "_PASS_POINTS", points):
+        for cut in (200, 800):
+            tracemalloc.start()
+            try:
+                _cubic_trace(den, exps, gamma, cut)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2048
 
 
 def test_integral_float_cutoff_is_the_integer_cutoff():

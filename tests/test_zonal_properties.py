@@ -2,16 +2,18 @@
 
 Random positive zonal densities on S^2..S^5 with degrees up to 4 drive six
 checks: Jacobi-matrix band entries against the generic Gauss-Jacobi
-coupling W, the banded-chain cubic trace against a naive loop over m2
-blocks and coupled triples with dense band matrices (also on fixed
-densities whose parity-allowed triples the triangle rule forbids), the
+coupling W, the cubic trace (by blocks at low degrees, by the blocks'
+moments past them) against a naive loop over m2 blocks and coupled
+triples with dense band matrices (also on fixed densities whose
+parity-allowed triples the triangle rule forbids), the
 zero-mode energy recursion against its closed forms, the zonal-block
 variational spectrum against the full-matrix one, the single zero mode of
 that spectrum, and the exact sum rules against the linear extrapolation of
 the gamma-shifted route to gamma = 0.  Fixed densities also pin the
 symmetry classes of coupled triples under each pattern of weight powers,
-and the cubic trace against the naive loop for each pattern and for
-degrees up to 11, whose band offsets outreach the last chunks' grids.
+and the cubic trace against the naive loop for each pattern, and past
+3 top + 20 for degrees up to 11 (whose cycles are summed block by block
+everywhere) and up to 5 (by moments past 15).
 """
 
 import math
@@ -102,12 +104,13 @@ def _naive_cubic_trace(den, exps, gamma, lcut):
 @given(den=zonal_densities(), lcut=st.integers(5, 30),
        exps=st.tuples(*[st.integers(0, 1)] * 3),
        gamma=st.one_of(st.none(), st.floats(1e-3, 1.0)),
-       chunk=st.integers(1, 40))
-def test_cubic_core_matches_naive_trace(den, lcut, exps, gamma, chunk):
+       points=st.integers(1, 40))
+def test_cubic_core_matches_naive_trace(den, lcut, exps, gamma, points):
     lcut = max(lcut, den.ell_max + 1)
     want = _naive_cubic_trace(den, exps, gamma, lcut)
-    # small chunks put chunk boundaries inside the grid
-    with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
+    # passes of a few starts put pass boundaries among the starts past
+    # 3 top, where the moments run
+    with mock.patch.object(sumrules, "_PASS_POINTS", points):
         got, _ = _cubic_core(den, exps, gamma, lcut, lcut - 1)
     # abs=0: approx's default absolute tolerance of 1e-12 would swamp the
     # relative one on every trace below 1
@@ -119,8 +122,8 @@ def test_cubic_core_matches_naive_trace(den, lcut, exps, gamma, chunk):
     (3, {1: 0.2, 4: 0.3}, (1, 0, 1), None),
     (4, {1: 0.2, 3: 0.1, 4: 0.3}, (0, 0, 0), 1e-2),
 ])
-@pytest.mark.parametrize("chunk", [3, 7])
-def test_cubic_core_keeps_to_coupled_triples(d, coeffs, exps, gamma, chunk):
+@pytest.mark.parametrize("points", [3, 7])
+def test_cubic_core_keeps_to_coupled_triples(d, coeffs, exps, gamma, points):
     # parity allows (1, 1, 4) and its turns, but the triangle rule forbids
     # them; their traces cancel only across m2 blocks, not at a finite cut,
     # so a core that let them in drifts from the naive trace (by 8e-12
@@ -129,7 +132,7 @@ def test_cubic_core_keeps_to_coupled_triples(d, coeffs, exps, gamma, chunk):
     den = DensitySpec.zonal(d, coeffs)
     assert (1, 1, 4) not in _coupled_triples(den)
     want = _naive_cubic_trace(den, exps, gamma, 30)
-    with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
+    with mock.patch.object(sumrules, "_PASS_POINTS", points):
         got, _ = _cubic_core(den, exps, gamma, 30, 29)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -186,25 +189,26 @@ def test_cubic_core_matches_naive_trace_per_weight_pattern(d, exps, gamma):
     # absolute tolerance of 1e-12 would swamp the relative one.
     den = DensitySpec.zonal(d, {1: 0.04, 2: -0.03, 3: 0.02})
     want = _naive_cubic_trace(den, exps, gamma, 22)
-    with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", 5):
+    with mock.patch.object(sumrules, "_PASS_POINTS", 5):
         got, _ = _cubic_core(den, exps, gamma, 22, 21)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 @pytest.mark.parametrize("lcut", [12, 15])
-@pytest.mark.parametrize("chunk", [1, 2, 5])
+@pytest.mark.parametrize("points", [1, 2, 5])
 @pytest.mark.parametrize("exps, gamma", [((0, 0, 0), None), ((0, 1, 2), None),
                                          ((0, 0, 0), 0.3)])
-def test_cubic_core_matches_naive_trace_past_a_wide_pad(d, lcut, chunk, exps,
+def test_cubic_core_matches_naive_trace_past_a_wide_pad(d, lcut, points, exps,
                                                         gamma):
-    # degrees up to 11 move a band by up to 11 columns, more than the
-    # last chunks' grids are wide, so a moved band reaches past its row's
-    # block on either side.  abs=0: approx's default absolute tolerance
-    # of 1e-12 would swamp the relative one.
+    # degrees up to 11 move a band by up to 11 degrees, more than the cut
+    # leaves above the low blocks, so a moved band reaches past its
+    # block on either side.  These cuts lie below 3 * 11, where every
+    # start is summed block by block.  abs=0: approx's default absolute
+    # tolerance of 1e-12 would swamp the relative one.
     den = DensitySpec.zonal(d, {2: 0.05, 9: 0.02, 11: 0.01})
     want = _naive_cubic_trace(den, exps, gamma, lcut)
-    with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
+    with mock.patch.object(sumrules, "_PASS_POINTS", points):
         got, _ = _cubic_core(den, exps, gamma, lcut, lcut - 1)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -213,9 +217,9 @@ def test_cubic_core_matches_naive_trace_past_a_wide_pad(d, lcut, chunk, exps,
 @pytest.mark.parametrize("exps", [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
                                   (0, 1, 2)])
 @pytest.mark.parametrize("gamma", [None, 2.0])
-@pytest.mark.parametrize("chunk", [3, 5])
+@pytest.mark.parametrize("points", [3, 5])
 def test_cubic_top_shell_matches_naive_shell_difference(d, exps, gamma,
-                                                        chunk):
+                                                        points):
     # the top shell is the trace's cycles whose largest degree lies in
     # (inner, lcut], the naive trace at lcut less the naive trace at inner.
     # At these cuts the shell is 1.7e-5 to 0.25 of the trace, so the
@@ -225,9 +229,37 @@ def test_cubic_top_shell_matches_naive_shell_difference(d, exps, gamma,
     den = DensitySpec.zonal(d, {1: 0.04, 2: -0.03, 3: 0.02})
     full = _naive_cubic_trace(den, exps, gamma, 12)
     want = full - _naive_cubic_trace(den, exps, gamma, 5)
-    with mock.patch.object(sumrules, "_CUBIC_CHUNK_ROWS", chunk):
+    with mock.patch.object(sumrules, "_PASS_POINTS", points):
         _, got = _cubic_core(den, exps, gamma, 12, 5)
     assert abs(got - want) <= 1e-12 * abs(want) + 1e-14 * abs(full)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("coeffs, lcut, points", [
+    # a cycle's degree in u reaches 16, past _MOMENT_DEGREE: the starts
+    # past 33 are summed block by block, in passes of 144 * 4 points,
+    # 4 starts, and chunks of blocks
+    ({2: 0.05, 9: 0.02, 11: 0.01}, 53, 144 * 4),
+    # degree 7: the starts past 15 are summed by moments, in passes of 4
+    ({2: 0.05, 4: 0.03, 5: 0.02}, 35, 36 * 4),
+])
+@pytest.mark.parametrize("exps, gamma", [((0, 0, 0), None), ((0, 1, 2), None),
+                                         ((0, 0, 0), 0.3)])
+def test_cubic_core_matches_naive_trace_past_the_low_blocks(d, coeffs, lcut,
+                                                            points, exps,
+                                                            gamma):
+    # at lcut = 3 top + 20 the trace's starts past 3 top are summed past
+    # the block edge: their walks below a block's m2 must drop out, by the
+    # exact zero of b^2(m2) in each block or by the moments' sums over the
+    # blocks.  The top shell lies past 3 top too.  abs=0: approx's
+    # default absolute tolerance of 1e-12 would swamp the relative one.
+    den = DensitySpec.zonal(d, coeffs)
+    want = _naive_cubic_trace(den, exps, gamma, lcut)
+    shell = want - _naive_cubic_trace(den, exps, gamma, lcut - 16)
+    with mock.patch.object(sumrules, "_PASS_POINTS", points):
+        got = _cubic_core(den, exps, gamma, lcut, lcut - 16)
+    assert got[0] == pytest.approx(want, rel=1e-12, abs=0)
+    assert abs(got[1] - shell) <= 1e-11 * abs(shell) + 1e-14 * abs(want)
 
 
 @given(den=zonal_densities())
