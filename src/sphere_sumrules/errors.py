@@ -35,11 +35,11 @@ class NonConvergenceError(SphereSumRulesError, ArithmeticError):
     """An iterative numerical procedure failed to reach its tolerance."""
 
 
-# Largest accepted cutoff.  Every band sum and cubic trace up to it runs
-# in passes of a fixed working set; the dense blocks are held to MAX_BYTES.
+# Largest accepted cutoff.  The band sums and the cubic trace's block
+# moments run in passes of a fixed working set up to it.
 MAX_ELL_CUT = 10 ** 6
 
-# Largest working set of one dense block, 1 GiB.
+# Largest working set of a dense block or block-by-block sum, 1 GiB.
 MAX_BYTES = 2 ** 30
 
 

@@ -17,7 +17,8 @@ in harmonic coefficient space:
   handled by closed-form pair strengths S_L(l, l') plus Euler-Maclaurin
   tail acceleration, and (for zonal densities with coupled degree triples)
   a triple trace over the cycles of three banded couplings, whose m2
-  blocks the moments of the block index sum at a cost linear in the cut;
+  blocks the moments of the block index sum at a cost linear in the cut
+  (block by block, at a bounded cost, once a cycle is past degree 8);
 * the zero-mode energy coefficients eps_1..eps_4 of the gamma-shifted
   problem, both in closed form and by an independent linear-algebra
   recursion;
@@ -39,8 +40,8 @@ from . import harmonics, rayleigh_ritz, tails
 from .density import DensitySpec, check_density, check_kappa, kappa_bound
 from .errors import (MAX_ELL_CUT, CutoffTooSmallError, DivergentSumError,
                      UnsupportedDensityError, UnsupportedOrderError,
-                     ValidationError, check_dimension, check_gamma,
-                     check_integer, integral)
+                     ValidationError, check_bytes, check_dimension,
+                     check_gamma, check_integer, integral)
 
 __all__ = [
     "DensitySpec", "EpsilonCoeffs", "MAX_ELL_CUT", "SumRuleResult",
@@ -234,8 +235,9 @@ def _cubic_classes(density, powers):
 def _cubic_plan(density, powers):
     """The chains of the cubic trace for weight powers, one per group of
     degree pairs (L2, L3) whose representatives share their closing degrees
-    and class sizes: a list of (closing, steps), closing the [(L1, size)]
-    of the group and steps its multiply-adds (L2, d1, L3, d2, (e, hi)).
+    and class sizes: a list of (closing, parts), closing the [(L1, size)]
+    of the group and parts {(e, hi): steps}, each step a multiply-add
+    (L2, d1, L3, d2) into that part.
 
     A step takes offset d1 of V_L2 and d2 of V_L3 into the part of the band
     product at offset e = d1 + d2 whose cycles l -> l + d1 -> l + e -> l
@@ -250,97 +252,109 @@ def _cubic_plan(density, powers):
         groups.setdefault(tuple(closing), []).append(pair)
     plan = []
     for closing, pairs in groups.items():
-        top = max(L1 for L1, _ in closing)
-        plan.append((closing, [
-            (L2, d1, L3, d2, (d1 + d2, max(0, d1, d1 + d2)))
-            for L2, L3 in pairs
-            for d1 in range(-L2, L2 + 1, 2) for d2 in range(-L3, L3 + 1, 2)
-            if abs(d1 + d2) <= top]))
+        top, parts = max(L1 for L1, _ in closing), {}
+        for L2, L3 in pairs:
+            for d1 in range(-L2, L2 + 1, 2):
+                for d2 in range(-L3, L3 + 1, 2):
+                    if abs(d1 + d2) <= top:
+                        parts.setdefault((d1 + d2, max(0, d1, d1 + d2)),
+                                         []).append((L2, d1, L3, d2))
+        plan.append((closing, parts))
     return plan
 
 
 def _cycle_sums(plan, powers, band, wts, lo, a, b, inner, moments):
     """(trace, top shell) of the cycles l -> l + d1 -> l + e -> l from the
-    starts l = a..b, the shell those with l + hi > inner: band(L, o)[c, j,
-    i - lo] is coefficient c of V_L(i, i + o) at lead entry j, wts[w][i -
-    lo] is 1 / (lambda_i + gamma)^w or 0; P adds sum_c P_c moments[c]."""
+    starts l = a..b, the shell those with l + hi > inner: band(L, o)[c,
+    i - lo, j] is coefficient c of V_L(i, i + o) at lead entry j for the
+    rows i = lo.., wts[w][i - lo + top] (top = a - lo) is 1 / (lambda_i +
+    gamma)^w or 0, as a column; P adds sum_c P_c moments[c].  Each part's
+    chain is closed before the next starts, so it stays in cache."""
     w0, w1, w2 = powers
+    top, blockwise = a - lo, len(moments) == 1
+    # D0 and the moments: one moment (each block on its own) scales each
+    # chain, more of them each closing band
+    opening = wts[w0][2 * top:2 * top + b + 1 - a] * moments
+    weighted, closed, trace, shell = {}, {}, 0.0, 0.0
 
     def at(x, o):  # x at the rows l + o of the starts l
-        return x[..., a + o - lo:b + 1 + o - lo]
+        return x[:, a + o - lo:b + 1 + o - lo]
 
-    left, closed, trace, shell = {}, {}, 0.0, 0.0
-    for closing, group in plan:
-        chains = {}
-        for L2, d1, L3, d2, part in group:
-            if (L2, d1) not in left:
-                left[L2, d1] = at(band(L2, d1), 0) * at(wts[w1], d1)
-            x, y = left[L2, d1], at(band(L3, d2), d1) * at(wts[w2], d1 + d2)
-            chain = chains.setdefault(part, np.zeros(moments.shape))
-            if len(x) > len(y):
-                x, y = y, x
-            for k, xk in enumerate(x):
-                chain[k:k + len(y)] += xk * y
-        for (e, hi), chain in chains.items():
+    def U(w, L, o):  # V_L(i, i + o) / (lambda_{i + o} + gamma)^w
+        if (w, L, o) not in weighted:
+            x = band(L, o)
+            weighted[w, L, o] = x * wts[w][top + o:top + o + x.shape[1]]
+        return weighted[w, L, o]
+
+    for closing, parts in plan:
+        for (e, hi), steps in parts.items():
+            terms = [(at(U(w1, L2, d1), 0), at(U(w2, L3, d2), d1))
+                     for L2, d1, L3, d2 in steps]
+            if blockwise:  # one coefficient: the first product starts it
+                chain = terms[0][0] * terms[0][1]
+                for x, y in terms[1:]:
+                    chain += x * y
+                chain *= opening
+            else:
+                chain = np.zeros((max(len(x) + len(y) for x, y in terms)
+                                  - 1,) + opening.shape[1:])
+                for x, y in (sorted(t, key=len) for t in terms):
+                    for k, xk in enumerate(x):
+                        chain[k:k + len(y)] += xk * y
             cut = max(0, inner - hi + 1 - a)
             for L1, count in closing:
                 if abs(e) > L1:
                     continue
-                if (L1, e) not in closed:
-                    c = at(band(L1, -e), e) * at(wts[w0], 0)
-                    size = len(moments) - len(c) + 1
-                    closed[L1, e] = sum(ck * moments[k:k + size]
-                                        for k, ck in enumerate(c))
-                r = closed[L1, e]  # the chain is 0 past len(r)
-                trace += count * np.vdot(chain[:len(r)], r)
-                shell += count * np.vdot(chain[:len(r), ..., cut:],
-                                         r[..., cut:])
+                r = c = at(band(L1, -e), e)
+                if not blockwise:
+                    if (L1, e) not in closed:
+                        size = len(moments) - len(c) + 1
+                        closed[L1, e] = sum(ck * opening[k:k + size]
+                                            for k, ck in enumerate(c))
+                    r = closed[L1, e][:len(chain)]
+                trace += count * np.vdot(chain, r)
+                shell += count * np.vdot(chain[:, cut:], r[:, cut:])
     return trace, shell
 
 
-def _low_bands(d, zc, l0):
-    """band(L, o) of `_cycle_sums` for the blocks m2 < l0, each a lead entry,
-    at the degrees -top..l0 + top - 1: c_L times the block's zonal band,
-    symmetric: J' rounds worse near l = 0, where a small gamma weighs most."""
+def _block_bands(d, zc, first, count, end):
+    """band(L, o) of `_cycle_sums` for the blocks first..first + count - 1,
+    each a lead entry, at the degrees first - top..end + top: c_L times the
+    block's (symmetric) zonal band, 0 below its m2."""
     top, up = max(zc), {}
-    for L, diags in harmonics._zonal_bands(d, zc, range(l0), l0 + top).items():
-        up[L] = np.zeros((len(diags), 1, l0, l0 + 3 * top))
-        for m2 in range(l0):
-            np.multiply(diags[:, m2, :l0 + top - m2], zc[L],
-                        out=up[L][:, 0, m2, m2 + 2 * top:])
+    width = end + 3 * top + 1 - first
+    for L, diags in harmonics._zonal_bands(
+            d, zc, range(first, first + count), width - 2 * top).items():
+        up[L] = np.zeros((len(diags), 1, width + count, count))
+        # block j's degree m2 + n at row 2 top + j + n of column j
+        s = up[L].strides
+        np.multiply(diags, zc[L], out=np.lib.stride_tricks.as_strided(
+            up[L][:, 0, 2 * top:], diags.shape, (s[0], s[2] + s[3], s[2])))
     # V_L is symmetric: offset o < 0 is offset -o moved by o
-    return lambda L, o: up[L][abs(o) // 2, ..., top + min(o, 0):][
-        ..., :l0 + 2 * top]
+    return lambda L, o: up[L][abs(o) // 2, :, top + min(o, 0):][
+        :, :width - top]
 
 
-def _jacobi_bands(d, zc, lo, rows, u=None, scale=1.0):
+def _jacobi_bands(d, zc, lo, rows, scale):
     """band(L, o) of `_cycle_sums` at the degrees lo..lo + rows - 1 (lo >
-    2 top), from C_L(J'), similar to C_L(J): J' has superdiagonal 1 and
-    subdiagonal b^2(i) = (i (i + d - 2) - u) / (4 (i + alpha) (i + alpha
-    - 1)), 0 at i = m2.  An entry at offset o is a polynomial in u of degree
-    (L - o) / 2 with coefficients that depend on i alone: without u every
-    block is one lead entry, coefficient c that of (u / scale)^c; with the
-    blocks' u = m2 (m2 + d - 2), each is its own.  C_k is (offset,
-    coefficient, lead, row)."""
+    2 top), every block one lead entry, from C_L(J'), similar to C_L(J):
+    J' has superdiagonal 1 and subdiagonal b^2(i) = (i (i + d - 2) - u) /
+    (4 (i + alpha) (i + alpha - 1)), 0 at the block's i = m2, u = m2 (m2 +
+    d - 2).  An entry at offset o is a polynomial in u of degree (L - o) /
+    2, coefficient c that of (u / scale)^c, which depends on i alone.  C_k
+    is (offset, coefficient, row)."""
     alpha, top = (d - 1) / 2.0, max(zc)
     i = np.arange(lo - top, lo + rows + top, dtype=float)
     den = 4.0 * (i + alpha) * (i + alpha - 1.0)
-    if u is None:
-        p, q = i * (i + d - 2.0) / den, scale / den
-    else:
-        b2 = (i * (i + d - 2.0) - u) / den
-    prev, c, bands = None, np.ones((1, 1, 1, len(i))), {}
+    p, q = i * (i + d - 2.0) / den, scale / den
+    prev, c, bands = None, np.ones((1, 1, len(i))), {}
     for k in range(1, top + 1):
         # (J' C)[i, i + o] = C[i + 1, i + o] + b^2(i) C[i - 1, i + o]
         down, live = c[..., :-2], slice(k, len(i) - k)
-        step = np.zeros((k + 1, k + 1 if u is None else 1,
-                         1 if u is None else len(u), down.shape[-1]))
+        step = np.zeros((k + 1, k + 1, down.shape[-1]))
         step[1:, :c.shape[1]] = c[..., 2:]
-        if u is None:
-            step[:k, :k] += p[live] * down
-            step[:k, 1:] -= q[live] * down
-        else:
-            step[:k] += b2[:, live] * down
+        step[:k, :k] += p[live] * down
+        step[:k, 1:] -= q[live] * down
         step *= 2.0 * (k + alpha - 1.0) / k
         if k > 1:
             step[1:-1, :prev.shape[1]] -= ((k + 2 * alpha - 2) / k
@@ -348,12 +362,62 @@ def _jacobi_bands(d, zc, lo, rows, u=None, scale=1.0):
         prev, c = c, step
         if k in zc:
             bands[k] = (zc[k] * math.exp(harmonics._log_zonal_norm(d, k))
-                        * c[..., top - k:top - k + rows])
+                        * c[:, :, top - k:top - k + rows, None])
     return lambda L, o: bands[L][(o + L) // 2, :(L - o) // 2 + 1]
 
 
-# past this degree in u of a cycle the moments' monomials cancel too far
-_MOMENT_DEGREE = 8
+# past this degree in u of a cycle the moments' monomials cancel too far;
+# m2 blocks summed together where the cubic trace sums them one by one
+_MOMENT_DEGREE, _BLOCKS = 8, 32
+
+
+def _block_starts(density, lcut):
+    """(l0, most): `_cubic_core` sums the starts l < l0 block by block,
+    those below 3 top, and all of them once most, a cycle's largest degree
+    in u, passes _MOMENT_DEGREE."""
+    top = max(density.zonal_coeffs())
+    most = max(sum(t) for t in _coupled_triples(density)) // 2
+    if most > _MOMENT_DEGREE:
+        return lcut + 1, most
+    return min(3 * top, lcut + 1), most
+
+
+# multiply-adds the block-by-block sums of one cubic trace may take, under
+# a minute on one core: degrees {2, 9, 11} up to a cut of 9510
+_MAX_BLOCK_WORK = 2 ** 35
+
+
+def _block_cost(density, exps, lcut):
+    """(bytes held, multiply-adds) of the cubic trace's block-by-block sums
+    at lcut.  Bytes: arrays of the first chunk, _BLOCKS blocks by l0 + 3 top
+    + _BLOCKS degrees; as its bands are built, each degree's diagonals
+    three times (this chunk's, their zonal bands, the last chunk's) and the
+    recurrence's top step three times, or as they are summed the diagonals,
+    the coupled bands weighted by each power of D1 and D2, a chain, a
+    product, D0 and the moments.  Work: a step per offset pair of each
+    coupled triple's L2 and L3, at every block and start."""
+    zc, triples = density.zonal_coeffs(), _coupled_triples(density)
+    top, (l0, _) = max(zc), _block_starts(density, lcut)
+    diagonals, rows = sum(L // 2 + 1 for L in zc), min(_BLOCKS, l0)
+    coupled = {L for triple in triples for L in triple}
+    arrays = max(3 * diagonals + 3 * (top // 2 + 1), diagonals + 4 + len(
+        {exps[1], exps[2]}) * sum(L + 1 for L in coupled))
+    work = sum((L2 + 1) * (L3 + 1) for _, L2, L3 in triples) * sum(
+        min(_BLOCKS, l0 - f) * (l0 - f) for f in range(0, l0, _BLOCKS))
+    return 8 * arrays * rows * (l0 + 3 * top + rows), work
+
+
+def _check_block_sums(density, exps, lcut):
+    """Reject, before any sum runs, a cubic trace whose block-by-block sums
+    would hold more than MAX_BYTES or take more than _MAX_BLOCK_WORK."""
+    if density.is_zonal and _coupled_triples(density):
+        need, work = _block_cost(density, exps, lcut)
+        what = "the cubic trace of this density at ell_cut=%d" % lcut
+        check_bytes(need, what)
+        if work > _MAX_BLOCK_WORK:
+            raise ValidationError(
+                "%s sums its m2 blocks one by one: %.1e multiply-adds, "
+                "above the %.1e supported" % (what, work, _MAX_BLOCK_WORK))
 
 
 def _cubic_core(density, exps, gamma, lcut, inner):
@@ -373,9 +437,10 @@ def _cubic_core(density, exps, gamma, lcut, inner):
     (`_cycle_sums`).  From l0 = 3 top on, a cycle is a polynomial in
     u = m2 (m2 + d - 2) (`_jacobi_bands`), summed over the blocks m2 <= l
     by the moments sum_{m <= l} g_{d-1}(m) u(m)^k: a cost linear in lcut.
-    Below l0, where the monomials' cancellation costs digits, each block
-    is summed on its own (`_low_bands`), and past l0 too once a cycle's
-    degree in u passes _MOMENT_DEGREE, at a cost quadratic in lcut.  The
+    Below l0, where the monomials' cancellation costs digits, and past it
+    too once a cycle's degree in u passes _MOMENT_DEGREE (`_block_starts`),
+    each block is summed on its own, _BLOCKS at a time (`_block_bands`),
+    at a cost quadratic in lcut that `_check_block_sums` bounds.  The
     starts past l0 go in passes of _PASS_POINTS / (top + 1)^2 degrees, so
     the working set does not grow with lcut; a pass scales u by its value
     at its last start, so no moment overflows.
@@ -385,44 +450,38 @@ def _cubic_core(density, exps, gamma, lcut, inner):
     plan = _cubic_plan(density, powers)
     if not plan:
         return 0.0, 0.0
-    most = max(L1 + L2 + L3 for closing, group in plan
-               for L1, _ in closing for L2, _, L3, *_ in group) // 2
 
     def g(m2):  # g_{d-1}(m2); g_1 is 1, 2, 2, ...
         return (harmonics._degeneracy_at(d - 1, m2) if d > 2
                 else np.where(m2 > 0, 2.0, 1.0))
 
     def cycles(band, a, b, moments):
-        ls = np.arange(a - top, b + top + 1, dtype=float)
+        ls = np.arange(a - 2 * top, b + 2 * top + 1, dtype=float)
         live = (ls >= (1 if gamma is None else 0)) & (ls <= lcut)
-        lam = np.where(live, ls * (ls + d - 1.0) + (gamma or 0.0), np.inf)
+        lam = np.where(live, ls * (ls + d - 1.0) + (gamma or 0.0),
+                       np.inf)[:, None]
         wts = {w: lam ** -w for w in set(powers)}
         sums[:] += _cycle_sums(plan, powers, band, wts, a - top, a, b,
                                inner, moments)
 
-    sums, l0 = np.zeros(2), min(3 * top, lcut + 1)
-    m2 = np.arange(l0)[:, None]
-    cycles(_low_bands(d, zc, l0), 0, l0 - 1,
-           (g(m2) * (np.arange(l0) >= m2))[None])
+    sums, (l0, most) = np.zeros(2), _block_starts(density, lcut)
+    for first in range(0, l0, _BLOCKS):
+        m2 = np.arange(first, min(l0, first + _BLOCKS))
+        # the last chunk's bands go once these are built, so the heap they
+        # held is reused, not returned and faulted back in
+        band = _block_bands(d, zc, first, len(m2), l0 - 1)
+        cycles(band, first, l0 - 1,
+               (g(m2) * (np.arange(first, l0)[:, None] >= m2))[None])
     ks, carry, scale, a = np.arange(most + 1)[:, None], 0.0, 1.0, l0
     while a <= lcut:
         b = min(lcut, a + max(1, _PASS_POINTS // (top + 1) ** 2) - 1)
-        if most > _MOMENT_DEGREE:
-            # each block m2 <= b on its own, 32 a chunk, from the chunk's m2
-            for first in range(0, b + 1, 32):
-                m2 = np.arange(first, min(b + 1, first + 32))[:, None]
-                at = max(a, first)
-                cycles(_jacobi_bands(d, zc, at - top, b - at + 1 + 2 * top,
-                                     m2 * (m2 + d - 2)),
-                       at, b, (g(m2) * (np.arange(at, b + 1) >= m2))[None])
-        else:
-            last, rows = b * (b + d - 2.0), b - a + 1 + 2 * top
-            m = np.arange(0 if a == l0 else a, b + 1, dtype=float)
-            moments = carry * (scale / last) ** ks + np.cumsum(
-                g(m) * (m * (m + d - 2) / last) ** ks, axis=1)
-            carry, scale = moments[:, -1:], last
-            cycles(_jacobi_bands(d, zc, a - top, rows, scale=last), a, b,
-                   moments[:, None, len(m) - (b - a + 1):])
+        last, rows = b * (b + d - 2.0), b - a + 1 + 2 * top
+        m = np.arange(0 if a == l0 else a, b + 1, dtype=float)
+        moments = carry * (scale / last) ** ks + np.cumsum(
+            g(m) * (m * (m + d - 2) / last) ** ks, axis=1)
+        carry, scale = moments[:, -1:], last
+        cycles(_jacobi_bands(d, zc, a - top, rows, last), a, b,
+               moments[:, len(m) - (b - a + 1):, None])
         a = b + 1
     return float(sums[0]), float(sums[1])
 
@@ -549,6 +608,8 @@ def _J(orders, density, switch, gamma=None):
     s = sum(orders) + len(orders)
     _check_convergent(d, s, "trace J%d(%s)" % (
         len(orders) - 1, ",".join(map(str, orders))))
+    if len(orders) == 3:
+        _check_block_sums(density, orders, switch)
     shift = 0.0 if gamma is None else gamma
     vol = harmonics.sphere_volume(d)
     value, err = _spectral_trace(d, s, shift, switch)
@@ -701,10 +762,11 @@ def sum_rule(d, p, density, ell_cut=None):
     check_density(density, d)
     switch = _switch(density, _check_ell_cut(ell_cut))
     vol = harmonics.sphere_volume(d)
+    # the trace first: it checks its cost before the I-terms' block is built
+    jval, jerr = _J((0,) * p, density, switch)
     block = _zero_mode_block(density, (p - 1) * density.ell_max)
     i10 = _I((0,), block)
     i200 = _I((0, 0), block)
-    jval, jerr = _J((0,) * p, density, switch)
     if p == 2:
         value = jval + (i10 / vol) ** 2 - 2.0 * i200 / vol
     else:

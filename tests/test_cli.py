@@ -134,8 +134,8 @@ def test_exact_cutoff_above_ceiling_exits_one(capsys, cut):
 
 
 def test_exact_cubic_trace_at_a_cutoff_of_100000_exits_zero(capsys):
-    # the cubic trace runs in passes of a fixed size, so a cut of 10^5 is
-    # summed, not refused for its working set
+    # degrees {1, 2, 3}: past 9 the cubic trace runs by block moments, in
+    # passes of a fixed size, so a cut of 10^5 is summed, not refused
     code, out, err = run_cli(capsys, [
         "exact", "--d", "3", "--p", "3", "--coeffs",
         str(DATA / "zonal_d3.json"), "--ell-cut", "100000"])
@@ -143,6 +143,24 @@ def test_exact_cubic_trace_at_a_cutoff_of_100000_exits_zero(capsys):
     row = out.splitlines()[1].split(",")
     assert row[-1] == "100000"
     assert math.isfinite(float(row[1])) and math.isfinite(float(row[4]))
+
+
+def test_exact_cubic_trace_past_its_budget_exits_one(tmp_path, capsys):
+    for coeffs, cut in (
+            # a coupled degree of 1000: gigabytes of band diagonals
+            ([(2, 0.01), (1000, 0.001)], []),
+            # cycles of degree 16 in u, summed block by block past the
+            # work bound
+            ([(2, 0.05), (9, 0.02), (11, 0.01)], ["--ell-cut", "10000"])):
+        path = tmp_path / "den.json"
+        path.write_text(json.dumps([{"ell": ell, "m": [0, 0], "re": c}
+                                    for ell, c in coeffs]))
+        with _sums_forbidden():
+            code, out, err = run_cli(capsys, [
+                "exact", "--d", "3", "--p", "3", "--coeffs", str(path),
+                *cut])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the cubic trace")
 
 
 def test_exact_negative_cutoff_exits_one(capsys):

@@ -101,6 +101,14 @@ def _naive_cubic_trace(den, exps, gamma, lcut):
     return total
 
 
+def _small_passes(points, blocks=None):
+    """The cubic trace's passes of `points` points and its chunks of
+    `blocks` (default `points`) m2 blocks, so that small cuts cross their
+    boundaries."""
+    return mock.patch.multiple(sumrules, _PASS_POINTS=points,
+                               _BLOCKS=blocks or points)
+
+
 @given(den=zonal_densities(), lcut=st.integers(5, 30),
        exps=st.tuples(*[st.integers(0, 1)] * 3),
        gamma=st.one_of(st.none(), st.floats(1e-3, 1.0)),
@@ -108,9 +116,10 @@ def _naive_cubic_trace(den, exps, gamma, lcut):
 def test_cubic_core_matches_naive_trace(den, lcut, exps, gamma, points):
     lcut = max(lcut, den.ell_max + 1)
     want = _naive_cubic_trace(den, exps, gamma, lcut)
-    # passes of a few starts put pass boundaries among the starts past
-    # 3 top, where the moments run
-    with mock.patch.object(sumrules, "_PASS_POINTS", points):
+    # passes of a few starts and chunks of a few blocks put boundaries
+    # among the starts past 3 top, where the moments run, and among the
+    # blocks below it, summed one by one
+    with _small_passes(points):
         got, _ = _cubic_core(den, exps, gamma, lcut, lcut - 1)
     # abs=0: approx's default absolute tolerance of 1e-12 would swamp the
     # relative one on every trace below 1
@@ -132,7 +141,7 @@ def test_cubic_core_keeps_to_coupled_triples(d, coeffs, exps, gamma, points):
     den = DensitySpec.zonal(d, coeffs)
     assert (1, 1, 4) not in _coupled_triples(den)
     want = _naive_cubic_trace(den, exps, gamma, 30)
-    with mock.patch.object(sumrules, "_PASS_POINTS", points):
+    with _small_passes(points):
         got, _ = _cubic_core(den, exps, gamma, 30, 29)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -189,26 +198,26 @@ def test_cubic_core_matches_naive_trace_per_weight_pattern(d, exps, gamma):
     # absolute tolerance of 1e-12 would swamp the relative one.
     den = DensitySpec.zonal(d, {1: 0.04, 2: -0.03, 3: 0.02})
     want = _naive_cubic_trace(den, exps, gamma, 22)
-    with mock.patch.object(sumrules, "_PASS_POINTS", 5):
+    with _small_passes(5):
         got, _ = _cubic_core(den, exps, gamma, 22, 21)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 @pytest.mark.parametrize("lcut", [12, 15])
-@pytest.mark.parametrize("points", [1, 2, 5])
+@pytest.mark.parametrize("blocks", [1, 2, 5])
 @pytest.mark.parametrize("exps, gamma", [((0, 0, 0), None), ((0, 1, 2), None),
                                          ((0, 0, 0), 0.3)])
-def test_cubic_core_matches_naive_trace_past_a_wide_pad(d, lcut, points, exps,
+def test_cubic_core_matches_naive_trace_past_a_wide_pad(d, lcut, blocks, exps,
                                                         gamma):
     # degrees up to 11 move a band by up to 11 degrees, more than the cut
-    # leaves above the low blocks, so a moved band reaches past its
-    # block on either side.  These cuts lie below 3 * 11, where every
-    # start is summed block by block.  abs=0: approx's default absolute
-    # tolerance of 1e-12 would swamp the relative one.
+    # leaves above the last chunks of blocks, so a moved band reaches past
+    # its block on either side.  Every start is summed block by block, in
+    # chunks of a few blocks.  abs=0: approx's default absolute tolerance
+    # of 1e-12 would swamp the relative one.
     den = DensitySpec.zonal(d, {2: 0.05, 9: 0.02, 11: 0.01})
     want = _naive_cubic_trace(den, exps, gamma, lcut)
-    with mock.patch.object(sumrules, "_PASS_POINTS", points):
+    with _small_passes(blocks):
         got, _ = _cubic_core(den, exps, gamma, lcut, lcut - 1)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -229,34 +238,34 @@ def test_cubic_top_shell_matches_naive_shell_difference(d, exps, gamma,
     den = DensitySpec.zonal(d, {1: 0.04, 2: -0.03, 3: 0.02})
     full = _naive_cubic_trace(den, exps, gamma, 12)
     want = full - _naive_cubic_trace(den, exps, gamma, 5)
-    with mock.patch.object(sumrules, "_PASS_POINTS", points):
+    with _small_passes(points):
         _, got = _cubic_core(den, exps, gamma, 12, 5)
     assert abs(got - want) <= 1e-12 * abs(want) + 1e-14 * abs(full)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-@pytest.mark.parametrize("coeffs, lcut, points", [
+@pytest.mark.parametrize("coeffs, lcut, points, blocks", [
     # a cycle's degree in u reaches 16, past _MOMENT_DEGREE: the starts
-    # past 33 are summed block by block, in passes of 144 * 4 points,
-    # 4 starts, and chunks of blocks
-    ({2: 0.05, 9: 0.02, 11: 0.01}, 53, 144 * 4),
-    # degree 7: the starts past 15 are summed by moments, in passes of 4
-    ({2: 0.05, 4: 0.03, 5: 0.02}, 35, 36 * 4),
+    # past 33 are summed block by block too, in chunks of 7 blocks
+    ({2: 0.05, 9: 0.02, 11: 0.01}, 53, 144 * 4, 7),
+    # degree 7: the starts past 15 are summed by moments, in passes of 4,
+    # and the 15 blocks below in chunks of 4
+    ({2: 0.05, 4: 0.03, 5: 0.02}, 35, 36 * 4, 4),
 ])
 @pytest.mark.parametrize("exps, gamma", [((0, 0, 0), None), ((0, 1, 2), None),
                                          ((0, 0, 0), 0.3)])
 def test_cubic_core_matches_naive_trace_past_the_low_blocks(d, coeffs, lcut,
-                                                            points, exps,
-                                                            gamma):
+                                                            points, blocks,
+                                                            exps, gamma):
     # at lcut = 3 top + 20 the trace's starts past 3 top are summed past
-    # the block edge: their walks below a block's m2 must drop out, by the
-    # exact zero of b^2(m2) in each block or by the moments' sums over the
-    # blocks.  The top shell lies past 3 top too.  abs=0: approx's
+    # the block edge: their walks below a block's m2 must drop out, as
+    # zeros of the block's bands or in the moments' sums over the blocks.
+    # The top shell lies past 3 top too.  abs=0: approx's
     # default absolute tolerance of 1e-12 would swamp the relative one.
     den = DensitySpec.zonal(d, coeffs)
     want = _naive_cubic_trace(den, exps, gamma, lcut)
     shell = want - _naive_cubic_trace(den, exps, gamma, lcut - 16)
-    with mock.patch.object(sumrules, "_PASS_POINTS", points):
+    with _small_passes(points, blocks):
         got = _cubic_core(den, exps, gamma, lcut, lcut - 16)
     assert got[0] == pytest.approx(want, rel=1e-12, abs=0)
     assert abs(got[1] - shell) <= 1e-11 * abs(shell) + 1e-14 * abs(want)
